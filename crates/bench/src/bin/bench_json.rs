@@ -11,8 +11,8 @@ use std::time::Instant;
 
 use om_bench::bench_scenario;
 use om_obs::json::Json;
-use om_tensor::{kernels, Tensor};
-use omnimatch_core::{OmniMatchConfig, Trainer};
+use om_tensor::{kernels, seeded_rng, Tensor};
+use omnimatch_core::{OmniMatchConfig, OmniMatchModel, Trainer};
 
 /// Per-iteration wall times in milliseconds: `warmup` discarded
 /// iterations, then `iters` measured ones.
@@ -87,21 +87,27 @@ fn main() {
         std::hint::black_box(seq.unfold_windows(3));
     });
 
-    // The serving score path in kernel form: the `pair_rows` cross join a
-    // microbatch runs against an item shard, then the rating-head-shaped
-    // GEMM over the pair block — the two kernels that dominate a
-    // `ShardedEngine` flush (8 requests × 2048 items, fast-config dims).
-    let (b_req, n_items, du, di, hidden) = (8usize, 2048usize, 24usize, 12usize, 64usize);
-    let pair_dim = du + di;
+    // The serving score path: the rating head a `ShardedEngine` flush runs
+    // for a microbatch against one item shard — each request's layer-1
+    // user partial, then layer 1 resumed over the item rows, bias, ReLU
+    // and layer 2, up to the logits (8 requests × 2048 items, fast-config
+    // dims, an untrained model: the weights do not change the work). The
+    // softmax to expected stars that follows is left out.
+    let cfg = OmniMatchConfig::fast();
+    let model = OmniMatchModel::new(&cfg, 64, None, &mut seeded_rng(5));
+    let (b_req, n_items) = (8usize, 2048usize);
+    let (du, di) = (cfg.invariant_dim + cfg.specific_dim, cfg.item_dim);
     let user_rows: Vec<f32> = (0..b_req * du).map(|i| (i % 17) as f32 * 0.1 - 0.8).collect();
     let item_rows: Vec<f32> = (0..n_items * di).map(|i| (i % 23) as f32 * 0.05 - 0.5).collect();
-    let w: Vec<f32> = (0..pair_dim * hidden).map(|i| (i % 11) as f32 * 0.02 - 0.1).collect();
-    let mut head_out = vec![0.0f32; b_req * n_items * hidden];
-    let serve_score = time_ms(3, 20, || {
-        let pairs = kernels::pair_rows(&user_rows, &item_rows, du, di);
-        kernels::gemm(&pairs, &w, &mut head_out, b_req * n_items, pair_dim, hidden);
-        std::hint::black_box(&head_out);
-    });
+    let serve_score = {
+        let _mode = om_nn::inference_mode();
+        time_ms(3, 20, || {
+            let mut head = model.pair_block_scorer(&user_rows);
+            for b in 0..b_req {
+                std::hint::black_box(head.logits(b, &item_rows));
+            }
+        })
+    };
 
     write_report(
         &out_dir.join("BENCH_kernels.json"),

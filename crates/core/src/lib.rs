@@ -42,6 +42,6 @@ pub use auxiliary::{AuxiliaryDocument, AuxiliaryReviewGenerator, AuxiliaryStep};
 pub use ckpt::CkptConfig;
 pub use config::{AuxMode, ExtractorKind, OmniMatchConfig};
 pub use corpus::CorpusViews;
-pub use model::OmniMatchModel;
+pub use model::{OmniMatchModel, PairBlockScorer};
 pub use shapecheck::shape_check;
 pub use trainer::{EpochStats, TrainReport, TrainedOmniMatch, Trainer};

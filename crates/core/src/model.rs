@@ -11,9 +11,11 @@
 //!   paradigm of Bousmalis et al.);
 //! * the rating classifier over `r_target ⊕ r_item` (Eqs. 18–19).
 
+use std::cell::Ref;
+
 use om_data::types::Rating;
 use om_nn::{Dropout, Embedding, HasParams, Linear, Mlp, TextCnn, TransformerEncoder};
-use om_tensor::{Rng, Tensor};
+use om_tensor::{kernels, Rng, Tensor};
 
 use crate::config::{ExtractorKind, OmniMatchConfig};
 
@@ -268,11 +270,14 @@ impl OmniMatchModel {
         self.rating_clf.forward(&pair, training, rng)
     }
 
-    /// Rating logits for pre-assembled `r_target ⊕ r_item` rows. The
-    /// serving path builds its microbatch × item-arena cross join with
-    /// `om_tensor::kernels::pair_rows` and scores it here in one pass;
-    /// because [`Tensor::concat_cols`] only copies, this is bitwise
-    /// identical to [`OmniMatchModel::rating_logits`] over the same rows.
+    /// Rating logits for pre-assembled `r_target ⊕ r_item` rows — the
+    /// reference decomposition of serving. A cross join built with
+    /// `om_tensor::kernels::pair_rows`, scored here and passed through
+    /// [`OmniMatchModel::expected_stars`], is what the serving engine's
+    /// [`PairBlockScorer`] must equal bit for bit (it computes the same
+    /// float operations without building the cross join). Because
+    /// [`Tensor::concat_cols`] only copies, this is also bitwise identical
+    /// to [`OmniMatchModel::rating_logits`] over the same rows.
     pub fn rating_logits_from_pairs(
         &self,
         pairs: &Tensor,
@@ -280,6 +285,16 @@ impl OmniMatchModel {
         rng: &mut Rng,
     ) -> Tensor {
         self.rating_clf.forward(pairs, training, rng)
+    }
+
+    /// The serving form of the rating head for one microbatch: `user_rows`
+    /// is `[B, invariant_dim + specific_dim]`, row-major. Computes each
+    /// row's layer-1 user partial once; [`PairBlockScorer::score`] then
+    /// scores any block of item rows against any of the `B` users. See
+    /// [`PairBlockScorer`] for why the scores are bitwise those of
+    /// [`OmniMatchModel::rating_logits_from_pairs`].
+    pub fn pair_block_scorer(&self, user_rows: &[f32]) -> PairBlockScorer<'_> {
+        PairBlockScorer::new(self, user_rows)
     }
 
     /// Domain logits for *invariant* features, behind the gradient
@@ -321,6 +336,128 @@ impl OmniMatchModel {
                     .sum()
             })
             .collect()
+    }
+}
+
+/// The rating head in serving form: scores `users[b] ⊕ items[i]` pairs
+/// without building the `[pairs, user_dim + item_dim]` cross join.
+///
+/// Layer 1's sum over a pair row runs in `p` order through the user
+/// columns, then the item columns, and its user half is the same for
+/// every item. So the scorer computes each user's partial
+/// `P = u·W1[..user_dim]` once, seeds every row of an item block with it,
+/// and lets `kernels::gemm(items, W1[user_dim..], block)` continue the
+/// same per-element sum (`gemm` accumulates into `c` in `p` order). Bias,
+/// ReLU, layer 2 and [`OmniMatchModel::expected_stars`] then run as the
+/// reference does, so each score is the float-op sequence of
+/// `pair_rows` → [`OmniMatchModel::rating_logits_from_pairs`] →
+/// `expected_stars` — bit for bit — while layer 1 does `item_dim` of the
+/// reference's `user_dim + item_dim` multiply-adds per pair.
+///
+/// The split keeps the order of the sum. Splitting it the other way,
+/// `W_u·u + (W_i·i + b)`, would re-associate it and round differently.
+///
+/// Inference only: no dropout, no autograd tape. Holds shared borrows
+/// of the head's parameters until dropped.
+pub struct PairBlockScorer<'m> {
+    w1: Ref<'m, Vec<f32>>,
+    b1: Ref<'m, Vec<f32>>,
+    w2: Ref<'m, Vec<f32>>,
+    b2: Ref<'m, Vec<f32>>,
+    user_dim: usize,
+    item_dim: usize,
+    hidden: usize,
+    classes: usize,
+    /// `[B, hidden]` layer-1 user partials.
+    partials: Vec<f32>,
+    /// `[rows, hidden]` layer-1 block, reused across calls.
+    block: Vec<f32>,
+}
+
+impl<'m> PairBlockScorer<'m> {
+    fn new(model: &'m OmniMatchModel, user_rows: &[f32]) -> PairBlockScorer<'m> {
+        let [l1, l2] = model.rating_clf.layers() else {
+            panic!("rating head: expected two layers");
+        };
+        let user_dim = model.cfg.invariant_dim + model.cfg.specific_dim;
+        let (hidden, classes) = (l1.out_dim(), l2.out_dim());
+        assert_eq!(
+            user_rows.len() % user_dim,
+            0,
+            "pair_block_scorer: ragged user rows"
+        );
+        let w1 = l1.weight.data();
+        let batch = user_rows.len() / user_dim;
+        let mut partials = vec![0.0f32; batch * hidden];
+        kernels::gemm(
+            user_rows,
+            &w1[..user_dim * hidden],
+            &mut partials,
+            batch,
+            user_dim,
+            hidden,
+        );
+        PairBlockScorer {
+            w1,
+            b1: l1.bias.data(),
+            w2: l2.weight.data(),
+            b2: l2.bias.data(),
+            user_dim,
+            item_dim: model.cfg.item_dim,
+            hidden,
+            classes,
+            partials,
+            block: Vec::new(),
+        }
+    }
+
+    /// Number of users (rows of `user_rows`) this scorer holds.
+    pub fn users(&self) -> usize {
+        self.partials.len() / self.hidden
+    }
+
+    /// Expected stars of user `b` against every row of `items`
+    /// (`[rows, item_dim]`, row-major), in row order:
+    /// [`OmniMatchModel::expected_stars`] of [`PairBlockScorer::logits`].
+    pub fn score(&mut self, b: usize, items: &[f32]) -> Vec<f32> {
+        OmniMatchModel::expected_stars(&self.logits(b, items))
+    }
+
+    /// Rating logits `[rows, classes]` of user `b` against every row of
+    /// `items` — bitwise those of
+    /// [`OmniMatchModel::rating_logits_from_pairs`] over the same pairs.
+    pub fn logits(&mut self, b: usize, items: &[f32]) -> Tensor {
+        let (h, di, c) = (self.hidden, self.item_dim, self.classes);
+        assert!(b < self.users(), "pair_block_scorer: user {b} out of range");
+        assert_eq!(items.len() % di, 0, "pair_block_scorer: ragged item rows");
+        let rows = items.len() / di;
+        let partial = &self.partials[b * h..(b + 1) * h];
+        self.block.clear();
+        self.block.reserve_exact(rows * h);
+        for _ in 0..rows {
+            self.block.extend_from_slice(partial);
+        }
+        kernels::gemm(
+            items,
+            &self.w1[self.user_dim * h..],
+            &mut self.block,
+            rows,
+            di,
+            h,
+        );
+        for row in self.block.chunks_exact_mut(h) {
+            for (v, &bias) in row.iter_mut().zip(self.b1.iter()) {
+                *v = (*v + bias).max(0.0);
+            }
+        }
+        let mut logits = vec![0.0f32; rows * c];
+        kernels::gemm(&self.block, &self.w2, &mut logits, rows, h, c);
+        for row in logits.chunks_exact_mut(c) {
+            for (v, &bias) in row.iter_mut().zip(self.b2.iter()) {
+                *v += bias;
+            }
+        }
+        Tensor::from_vec(logits, &[rows, c])
     }
 }
 
@@ -430,6 +567,60 @@ mod tests {
         let stars = OmniMatchModel::expected_stars(&logits);
         assert!((stars[0] - 1.0).abs() < 1e-3);
         assert!((stars[1] - 5.0).abs() < 1e-3);
+    }
+
+    #[test]
+    fn pair_block_scorer_equals_the_pair_rows_reference_bitwise() {
+        let (m, mut rng) = model();
+        // Non-zero biases so the bias adds are exercised too.
+        for layer in m.rating_clf.layers() {
+            let n = layer.bias.numel();
+            let b = om_tensor::init::uniform(&[n], -0.5, 0.5, &mut rng).to_vec();
+            layer.bias.data_mut().copy_from_slice(&b);
+        }
+        let cfg = m.config().clone();
+        let (du, di) = (cfg.invariant_dim + cfg.specific_dim, cfg.item_dim);
+        let (users, items) = (5, 13);
+        // ReLU-like rows: exact zeros, and one all-zero user and item row.
+        let relu = |n: usize, rng: &mut om_tensor::Rng| -> Vec<f32> {
+            let mut v = om_tensor::init::uniform(&[n], -1.0, 1.0, rng).to_vec();
+            v.iter_mut().for_each(|x| *x = x.max(0.0));
+            v
+        };
+        let mut u = relu(users * du, &mut rng);
+        u[2 * du..3 * du].fill(0.0);
+        let mut it = relu(items * di, &mut rng);
+        it[..di].fill(0.0);
+
+        let _mode = om_nn::inference_mode();
+        let pairs = om_tensor::kernels::pair_rows(&u, &it, du, di);
+        let pairs = Tensor::from_vec(pairs, &[users * items, du + di]);
+        let want_logits = m.rating_logits_from_pairs(&pairs, false, &mut rng);
+        let want = OmniMatchModel::expected_stars(&want_logits);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let mut head = m.pair_block_scorer(&u);
+        assert_eq!(head.users(), users);
+        for b in 0..users {
+            let c = Rating::CLASSES;
+            assert_eq!(
+                bits(&head.logits(b, &it).to_vec()),
+                bits(&want_logits.to_vec()[b * items * c..(b + 1) * items * c]),
+                "logits of user {b}"
+            );
+            // Whole catalogue, then in uneven blocks: same bits either way.
+            let whole = head.score(b, &it);
+            let blocks: Vec<f32> = it
+                .chunks(3 * di)
+                .flat_map(|blk| head.score(b, blk))
+                .collect();
+            for got in [&whole, &blocks] {
+                assert_eq!(
+                    bits(got),
+                    bits(&want[b * items..(b + 1) * items]),
+                    "user {b}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -102,7 +102,7 @@ pub const REGISTRY: &[EnvVar] = &[
         name: "OM_SERVE_SHARD",
         default: "8192",
         consumer: "om-serve",
-        doc: "item rows scored per shard (bounds peak pair-buffer memory)",
+        doc: "item rows scored per shard (bounds the per-flush working set)",
     },
     EnvVar {
         name: "OM_SERVE_TOPK",

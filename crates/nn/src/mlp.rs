@@ -40,6 +40,12 @@ impl Mlp {
         self.layers.last().expect("non-empty").out_dim()
     }
 
+    /// The dense layers, input first. [`Mlp::forward`] runs each in turn
+    /// with ReLU (and dropout) between them and none after the last.
+    pub fn layers(&self) -> &[Linear] {
+        &self.layers
+    }
+
     /// Forward pass; `training` toggles dropout.
     pub fn forward(&self, x: &Tensor, training: bool, rng: &mut Rng) -> Tensor {
         let last = self.layers.len() - 1;

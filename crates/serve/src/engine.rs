@@ -4,24 +4,32 @@
 //!
 //! 1. user rows — arena lookups for warm users, one *batched* tower pass
 //!    for the cold ones (their auxiliary target documents);
-//! 2. `om_tensor::kernels::pair_rows` — the `[B·N, user_dim + item_dim]`
-//!    cross join, assembled in parallel;
-//! 3. one rating-classifier forward over all `B·N` pairs (the "one GEMM
-//!    against the item arena"), then per-row expected stars;
-//! 4. per-request sharded top-K via `om_metrics::topk` — the selection
-//!    code path the offline eval tables share.
+//! 2. the rating head's layer-1 user partial `P = u·W1[..user_dim]`, once
+//!    per request (`omnimatch_core::PairBlockScorer`);
+//! 3. per item shard and request, layer 1 resumed from `P` over the item
+//!    rows, then bias, ReLU, layer 2 and per-row expected stars — no
+//!    `[B·N, user_dim + item_dim]` cross join is ever built;
+//! 4. per-request top-K via `om_metrics::topk` — the selection code path
+//!    the offline eval tables share.
 //!
-//! Bitwise determinism: every step is per-row independent (the GEMM fixes
-//! its reduction order per output element regardless of how many rows the
-//! batch has), `concat`/`pair_rows` only copy, and top-K uses a strict
-//! total order. Hence `serve_batch([a, b, c])` equals
-//! `[serve_one(a), serve_one(b), serve_one(c)]` bit for bit, at any
-//! thread count — property-tested in `tests/batching_parity.rs`.
+//! [`ServeEngine`] scores the whole arena as one shard; [`crate::ShardedEngine`]
+//! runs the same path (`ServeEngine::score_shards`) shard by shard.
+//!
+//! Bitwise determinism: resuming layer 1 from `P` keeps each element's
+//! sum in the `p` order of the reference `pair_rows` →
+//! `rating_logits_from_pairs` → `expected_stars` (`gemm` accumulates into
+//! its output in `p` order). Every step is per-row independent (the GEMM
+//! fixes its reduction order per output element regardless of how many
+//! rows the batch has), and top-K uses a strict total order. Hence
+//! `serve_batch([a, b, c])` equals `[serve_one(a), serve_one(b),
+//! serve_one(c)]` bit for bit, at any thread count — property-tested in
+//! `tests/batching_parity.rs`, and against the reference decomposition in
+//! `tests/fused_head_diff.rs`.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use om_data::types::{ItemId, UserId};
-use om_tensor::{kernels, seeded_rng, Tensor};
+use om_tensor::seeded_rng;
 use omnimatch_core::model::DomainSide;
 use omnimatch_core::{CorpusViews, OmniMatchModel};
 
@@ -276,12 +284,10 @@ impl ServeEngine {
     }
 
     /// Per-request combined user feature rows, `[reqs.len(), user_dim]`:
-    /// warm → arena copy; cold → one batched tower pass. Shared with the
-    /// sharded engine, which must assemble user rows identically for the
-    /// bitwise-parity contract to hold. `users` is the caller's pinned
-    /// generation — one pin per microbatch, so a batch never mixes
-    /// generations.
-    pub(crate) fn user_rows_for(&self, reqs: &[Request], users: &UserArena) -> Vec<f32> {
+    /// warm → arena copy; cold → one batched tower pass. `users` is the
+    /// caller's pinned generation — one pin per microbatch, so a batch
+    /// never mixes generations.
+    fn user_rows_for(&self, reqs: &[Request], users: &UserArena) -> Vec<f32> {
         let user_dim = users.dim();
         let mut user_rows = vec![0.0f32; reqs.len() * user_dim];
         if user_dim == 0 {
@@ -320,11 +326,42 @@ impl ServeEngine {
         user_rows
     }
 
-    /// Per-request score rows against the arena (arena order). Shared by
-    /// the batched and unbatched paths, under inference mode throughout.
-    fn score_batch(&self, reqs: &[Request]) -> Result<Vec<Vec<f32>>, ServeError> {
+    /// Refuse arenas whose row widths differ from the model's: the head
+    /// splits its first weight matrix at the model's user width.
+    fn check_widths(&self, users: &UserArena) -> Result<(), ServeError> {
+        let cfg = self.model.config();
+        let want = [
+            ("user", cfg.invariant_dim + cfg.specific_dim, users.dim()),
+            ("item", cfg.item_dim, self.items.dim()),
+        ];
+        for (arena, expected, got) in want {
+            if expected != got {
+                return Err(ServeError::ArenaWidth {
+                    arena,
+                    expected,
+                    got,
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// The one scoring path both engines share. User rows are assembled
+    /// once (warm → arena copy, cold → one batched tower pass) and folded
+    /// into the rating head's per-user partials; then, item shard by item
+    /// shard of `shard_items` rows, every request's expected stars go to
+    /// `sink(request index, shard's first arena row, stars)`. The
+    /// single-arena engine is the one-shard case. Runs under inference
+    /// mode throughout.
+    pub(crate) fn score_shards(
+        &self,
+        reqs: &[Request],
+        shard_items: usize,
+        mut sink: impl FnMut(usize, usize, Vec<f32>),
+    ) -> Result<(), ServeError> {
         let _mode = om_nn::inference_mode();
-        if self.items.is_empty() {
+        let n = self.items.len();
+        if n == 0 || self.items.dim() == 0 {
             return Err(ServeError::EmptyArena);
         }
         // Pin exactly one user-arena generation for the whole batch: an
@@ -333,31 +370,40 @@ impl ServeEngine {
         // a superseded arena alive until this flush returns.
         let pinned = self.users.pin();
         let users = pinned.arena();
-        let user_dim = users.dim();
-        let n = self.items.len();
-
-        // 1. User rows: warm → arena copy; cold → one batched tower pass.
+        self.check_widths(users)?;
         let user_rows = self.user_rows_for(reqs, users);
-
-        // 2–3. Cross join + one rating-head forward over all B·N pairs.
-        // `rows_f32` borrows the arena when it is f32 and dequantizes
-        // into the scratch when it is int8 — either way the same block
-        // feeds the same cross join.
-        let pair_dim = user_dim + self.items.dim();
+        let mut head = self.model.pair_block_scorer(&user_rows);
+        // `rows_f32` borrows the arena when it is f32 and dequantizes the
+        // shard into the scratch when it is int8.
         let mut scratch = Vec::new();
-        let item_block = self.items.rows_f32(0, n, &mut scratch);
-        let pairs = kernels::pair_rows(&user_rows, item_block, user_dim, self.items.dim());
-        let pairs = Tensor::from_vec(pairs, &[reqs.len() * n, pair_dim]);
-        let mut rng = seeded_rng(0);
-        let logits = self.model.rating_logits_from_pairs(&pairs, false, &mut rng);
-        let stars = OmniMatchModel::expected_stars(&logits);
-        if stars.len() != reqs.len() * n {
-            return Err(ServeError::ScoreShape {
-                expected: reqs.len() * n,
-                got: stars.len(),
-            });
+        let width = shard_items.max(1);
+        for base in (0..n).step_by(width) {
+            let hi = (base + width).min(n);
+            let rows = self.items.rows_f32(base, hi, &mut scratch);
+            for b in 0..reqs.len() {
+                let stars = head.score(b, rows);
+                if stars.len() != hi - base {
+                    return Err(ServeError::ScoreShape {
+                        expected: hi - base,
+                        got: stars.len(),
+                    });
+                }
+                sink(b, base, stars);
+            }
         }
-        Ok(stars.chunks(n).map(|row| row.to_vec()).collect())
+        Ok(())
+    }
+
+    /// Per-request score rows against the whole arena (arena order) —
+    /// `ServeEngine::score_shards` with a single shard.
+    fn score_batch(&self, reqs: &[Request]) -> Result<Vec<Vec<f32>>, ServeError> {
+        let mut rows: Vec<Vec<f32>> = vec![Vec::new(); reqs.len()];
+        self.score_shards(reqs, self.items.len(), |b, _, stars| {
+            if let Some(row) = rows.get_mut(b) {
+                row.extend(stars);
+            }
+        })?;
+        Ok(rows)
     }
 
     /// Sharded top-K over one score row → a [`Response`].

@@ -23,6 +23,18 @@ pub enum ServeError {
         /// Rows the forward produced.
         got: usize,
     },
+    /// A pinned arena's rows are not as wide as the model expects. The
+    /// rating head splits its first weight matrix at the model's user
+    /// width, so a mismatched arena would misalign that split (silently
+    /// wrong scores) or overrun it; the batch is refused instead.
+    ArenaWidth {
+        /// Which arena: `"user"` or `"item"`.
+        arena: &'static str,
+        /// Row width the model expects.
+        expected: usize,
+        /// Row width the arena holds.
+        got: usize,
+    },
     /// The OS refused to spawn the front-end worker thread.
     WorkerSpawn(String),
     /// The front-end worker panicked before reporting its tallies — a bug
@@ -57,6 +69,14 @@ impl fmt::Display for ServeError {
             ServeError::ScoreShape { expected, got } => write!(
                 f,
                 "serve: scoring returned {got} row(s) for a batch of {expected}"
+            ),
+            ServeError::ArenaWidth {
+                arena,
+                expected,
+                got,
+            } => write!(
+                f,
+                "serve: {arena} arena rows are {got} wide but the model expects {expected}"
             ),
             ServeError::WorkerSpawn(err) => {
                 write!(f, "serve: cannot spawn front-end worker: {err}")

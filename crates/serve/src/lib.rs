@@ -16,9 +16,12 @@
 //! 3. [`batcher`] — microbatching: requests accumulate until
 //!    `OM_SERVE_BATCH` are pending or the oldest has waited
 //!    `OM_SERVE_WAIT_US`, then score as one batch;
-//! 4. [`engine`] — one `pair_rows` cross-join + one rating-classifier
-//!    GEMM per flush, then sharded top-K per request via
-//!    `om_metrics::topk` (the same selection the offline tables use).
+//! 4. [`engine`] — per flush, each request's rating-head user partial
+//!    once, then per item shard the head resumed from it over the item
+//!    rows (no cross join is built; scores stay bitwise equal to the
+//!    `pair_rows` → `rating_logits_from_pairs` reference), then sharded
+//!    top-K per request via `om_metrics::topk` (the same selection the
+//!    offline tables use).
 //!
 //! Million-scale serving layers three more pieces on top, none of which
 //! may change a single result bit:

@@ -1,14 +1,16 @@
 //! Sharded catalogue scoring — the million-item form of the engine.
 //!
-//! A single `pair_rows` cross join materialises `B·N` pair rows before
-//! the rating head runs; at `N` in the millions that buffer alone is
-//! gigabytes. [`ShardedEngine`] partitions the item arena into fixed-width
-//! shards of [`ServeOptions::shard_items`] rows and scores one shard at a
-//! time: cross join, rating-head forward (each GEMM still fans out across
-//! the `om_tensor::runtime` worker pool), then a *per-shard* top-K through
-//! the same bounded worst-out heap the offline tables use. Per-shard
-//! winners — at most `k` per shard, tagged with their global arena row —
-//! are merged by [`om_metrics::merge_top_k`] into the final top-K.
+//! [`ShardedEngine`] partitions the item arena into fixed-width shards of
+//! [`ServeOptions::shard_items`] rows and scores one shard at a time
+//! through the engine's one scoring path (`ServeEngine::score_shards`):
+//! the rating head resumed from each request's user partial over the
+//! shard's item rows (each GEMM still fans out across the
+//! `om_tensor::runtime` worker pool), then a *per-shard* top-K through the
+//! same bounded worst-out heap the offline tables use. Per-shard winners —
+//! at most `k` per shard, tagged with their global arena row — are merged
+//! by [`om_metrics::merge_top_k`] into the final top-K. Shards bound the
+//! per-flush working set (one `[shard_items, hidden]` layer-1 block and,
+//! for int8 arenas, one dequantized shard) independently of `N`.
 //!
 //! Bitwise parity with [`ServeEngine`] is a theorem, not a tuning goal:
 //!
@@ -25,15 +27,13 @@
 //! `k`, and thread counts.
 
 use om_data::types::UserId;
-use om_tensor::{kernels, seeded_rng, Tensor};
 
 use crate::engine::{Request, Response, ServeEngine};
 use crate::error::ServeError;
 
 /// A [`ServeEngine`] that scores the catalogue shard by shard. Same
-/// requests in, bitwise-identical responses out; only the peak pair-buffer
-/// footprint changes (`B · shard_items · pair_dim` floats instead of
-/// `B · N · pair_dim`).
+/// requests in, bitwise-identical responses out; only the per-flush
+/// working set changes (one shard's rows instead of the whole arena's).
 pub struct ShardedEngine {
     inner: ServeEngine,
     shard_items: usize,
@@ -103,64 +103,28 @@ impl ShardedEngine {
             .ok_or(ServeError::ScoreShape { expected: 1, got: 0 })
     }
 
-    /// Serve a microbatch: per shard, one fused forward and a bounded
-    /// top-K per request; then one merge per request.
+    /// Serve a microbatch: per shard, the rating head and a bounded top-K
+    /// per request; then one merge per request.
     pub fn serve_batch(&self, reqs: &[Request]) -> Result<Vec<Response>, ServeError> {
         if reqs.is_empty() {
             return Ok(Vec::new());
         }
         let t0 = om_obs::clock::now_ns();
-        let _mode = om_nn::inference_mode();
-        let items = &self.inner.items;
-        let item_dim = items.dim();
-        if items.is_empty() || item_dim == 0 {
-            return Err(ServeError::EmptyArena);
-        }
-        // One pinned user-arena generation for the whole batch — the
-        // no-mixed-generation rule the single-arena engine also follows.
-        let pinned = self.inner.pin_users();
-        let users = pinned.arena();
-        let user_dim = users.dim();
-        let pair_dim = user_dim + item_dim;
         let k = self.inner.opts.topk;
-
-        let user_rows = self.inner.user_rows_for(reqs, users);
-
         // Per-request candidate pools: ≤ k winners per shard, tagged with
         // the global arena row so the merge's tie order matches the
         // single-arena engine's.
         let mut candidates: Vec<Vec<(f32, usize)>> = vec![Vec::new(); reqs.len()];
-        // `rows_f32` borrows the arena for f32 payloads and dequantizes
-        // the shard's int8 rows into the scratch for quantized ones.
-        let mut scratch = Vec::new();
-        for shard in 0..items.len().div_ceil(self.shard_items) {
-            let base = shard * self.shard_items;
-            let hi = (base + self.shard_items).min(items.len());
-            let rows = items.rows_f32(base, hi, &mut scratch);
-            let sn = hi - base;
-            let pairs = kernels::pair_rows(&user_rows, rows, user_dim, item_dim);
-            let pairs = Tensor::from_vec(pairs, &[reqs.len() * sn, pair_dim]);
-            // Inference mode: nothing is drawn from this RNG.
-            let mut rng = seeded_rng(0);
-            let logits = self
-                .inner
-                .model
-                .rating_logits_from_pairs(&pairs, false, &mut rng);
-            let stars = omnimatch_core::OmniMatchModel::expected_stars(&logits);
-            if stars.len() != reqs.len() * sn {
-                return Err(ServeError::ScoreShape {
-                    expected: reqs.len() * sn,
-                    got: stars.len(),
-                });
-            }
-            for (pool, row) in candidates.iter_mut().zip(stars.chunks(sn)) {
-                pool.extend(
-                    om_metrics::top_k_indices(row, k)
-                        .into_iter()
-                        .filter_map(|i| row.get(i).map(|&s| (s, base + i))),
-                );
-            }
-        }
+        self.inner
+            .score_shards(reqs, self.shard_items, |b, base, stars| {
+                if let Some(pool) = candidates.get_mut(b) {
+                    pool.extend(
+                        om_metrics::top_k_indices(&stars, k)
+                            .into_iter()
+                            .filter_map(|i| stars.get(i).map(|&s| (s, base + i))),
+                    );
+                }
+            })?;
 
         let t_scored = om_obs::clock::now_ns();
         let out: Vec<Response> = reqs
@@ -169,7 +133,7 @@ impl ShardedEngine {
             .map(|(&req, pool)| {
                 let top = om_metrics::merge_top_k(pool, k)
                     .into_iter()
-                    .map(|(score, i)| (items.id_at(i), score))
+                    .map(|(score, i)| (self.inner.items.id_at(i), score))
                     .collect();
                 Response { id: req.id, user: req.user, top }
             })
@@ -194,34 +158,10 @@ impl ShardedEngine {
     /// order, assembled shard by shard — bitwise equal to
     /// [`ServeEngine::score_user`].
     pub fn score_user(&self, user: UserId) -> Result<Vec<f32>, ServeError> {
-        let _mode = om_nn::inference_mode();
-        let items = &self.inner.items;
-        let item_dim = items.dim();
-        if items.is_empty() || item_dim == 0 {
-            return Err(ServeError::EmptyArena);
-        }
-        let pinned = self.inner.pin_users();
-        let users = pinned.arena();
-        let user_dim = users.dim();
-        let pair_dim = user_dim + item_dim;
+        let mut scores = Vec::with_capacity(self.inner.items.len());
         let req = [Request { id: 0, user, arrive_us: 0 }];
-        let user_rows = self.inner.user_rows_for(&req, users);
-        let mut scores = Vec::with_capacity(items.len());
-        let mut scratch = Vec::new();
-        for shard in 0..items.len().div_ceil(self.shard_items) {
-            let base = shard * self.shard_items;
-            let hi = (base + self.shard_items).min(items.len());
-            let rows = items.rows_f32(base, hi, &mut scratch);
-            let sn = hi - base;
-            let pairs = kernels::pair_rows(&user_rows, rows, user_dim, item_dim);
-            let pairs = Tensor::from_vec(pairs, &[sn, pair_dim]);
-            let mut rng = seeded_rng(0);
-            let logits = self
-                .inner
-                .model
-                .rating_logits_from_pairs(&pairs, false, &mut rng);
-            scores.extend(omnimatch_core::OmniMatchModel::expected_stars(&logits));
-        }
+        self.inner
+            .score_shards(&req, self.shard_items, |_, _, stars| scores.extend(stars))?;
         Ok(scores)
     }
 }

@@ -156,7 +156,12 @@ fn gemm_rows(a: &[f32], b: &[f32], c_block: &mut [f32], row0: usize, rows: usize
 /// Row-major GEMM `c[m,n] += a[m,k] · b[k,n]`, parallel over row blocks.
 ///
 /// Bitwise identical to [`gemm_serial`] for finite inputs at any thread
-/// count (see module docs).
+/// count (see module docs). The product accumulates *into* `c`: each
+/// element continues from its incoming value in `p = 0..k` order, so a
+/// sum split at any `p` — run the first `p` columns of `a` against the
+/// first `p` rows of `b`, then the rest into the same `c` — is bitwise
+/// the one-call sum (the serving head resumes from a user partial this
+/// way).
 // om-lint: simd — inner-product kernel; a vectorised port must register
 // its ULP tolerance in tests/parity.rs (ulp_tolerance("gemm")).
 pub fn gemm(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
@@ -406,23 +411,6 @@ pub fn scale_slice(x: &[f32], s: f32) -> Vec<f32> {
 /// Serial twin of [`scale_slice`] — plain scalar loop, never parallel.
 pub fn scale_slice_serial(x: &[f32], s: f32) -> Vec<f32> {
     x.iter().map(|&v| v * s).collect()
-}
-
-/// Parallel indexed map: `out[i] = f(i)`. For broadcast patterns that need
-/// the flat index (e.g. row-vector broadcast `x[i] + row[i % n]`).
-pub fn map_indexed(len: usize, f: impl Fn(usize) -> f32 + Sync) -> Vec<f32> {
-    let mut out = vec![0.0f32; len];
-    runtime::parallel_rows_mut(&mut out, 1, MAP_GRAIN, |i0, block| {
-        for (d, o) in block.iter_mut().enumerate() {
-            *o = f(i0 + d);
-        }
-    });
-    out
-}
-
-/// Serial twin of [`map_indexed`] — a plain indexed loop, never parallel.
-pub fn map_indexed_serial(len: usize, f: impl Fn(usize) -> f32) -> Vec<f32> {
-    (0..len).map(f).collect()
 }
 
 /// Minimum f32 cells per [`fill_rows`] task. Callers pass a row grain that

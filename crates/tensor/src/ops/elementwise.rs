@@ -4,6 +4,22 @@ use super::{acc, wants_grad};
 use crate::kernels;
 use crate::Tensor;
 
+/// Row-vector broadcast `out[r·n + j] = f(a[r·n + j], row[j])` for
+/// `n = row.len()`, filled one row at a time so no element pays an
+/// `i % n`. One `f` per element, exactly as the flat-index form, so the
+/// result is bitwise the same.
+fn broadcast_row(a: &[f32], row: &[f32], f: impl Fn(f32, f32) -> f32 + Sync) -> Vec<f32> {
+    let n = row.len();
+    if n == 0 {
+        return Vec::new();
+    }
+    kernels::fill_rows(a.len() / n, n, 8, |r, out| {
+        for ((o, &x), &y) in out.iter_mut().zip(&a[r * n..(r + 1) * n]).zip(row) {
+            *o = f(x, y);
+        }
+    })
+}
+
 impl Tensor {
     fn assert_same_shape(&self, other: &Tensor, op: &str) {
         assert_eq!(
@@ -113,11 +129,7 @@ impl Tensor {
             row.numel(),
             n
         );
-        let out = {
-            let (a, b) = (self.data(), row.data());
-            let (a, b): (&[f32], &[f32]) = (&a, &b);
-            kernels::map_indexed(a.len(), |i| a[i] + b[i % n])
-        };
+        let out = broadcast_row(&self.data(), &row.data(), |x, y| x + y);
         Tensor::from_op(
             out,
             self.dims(),
@@ -126,8 +138,11 @@ impl Tensor {
                 acc(&parents[0], g);
                 if wants_grad(&parents[1]) {
                     let mut gb = vec![0.0f32; n];
-                    for (i, x) in g.iter().enumerate() {
-                        gb[i % n] += x;
+                    let w = n.max(1); // zero-width rows: empty tensors, no chunks
+                    for g_row in g.chunks_exact(w) {
+                        for (s, &x) in gb.iter_mut().zip(g_row) {
+                            *s += x;
+                        }
                     }
                     acc(&parents[1], &gb);
                 }
@@ -146,11 +161,7 @@ impl Tensor {
             row.numel(),
             n
         );
-        let out = {
-            let (a, b) = (self.data(), row.data());
-            let (a, b): (&[f32], &[f32]) = (&a, &b);
-            kernels::map_indexed(a.len(), |i| a[i] * b[i % n])
-        };
+        let out = broadcast_row(&self.data(), &row.data(), |x, y| x * y);
         Tensor::from_op(
             out,
             self.dims(),
@@ -158,16 +169,17 @@ impl Tensor {
             Box::new(move |g, parents| {
                 let (pa, pb) = (&parents[0], &parents[1]);
                 if wants_grad(pa) {
-                    let b = pb.data();
-                    let b: &[f32] = &b;
-                    let ga = kernels::map_indexed(g.len(), |i| g[i] * b[i % n]);
+                    let ga = broadcast_row(g, &pb.data(), |x, y| x * y);
                     acc(pa, &ga);
                 }
                 if wants_grad(pb) {
                     let a = pa.data();
                     let mut gb = vec![0.0f32; n];
-                    for (i, x) in g.iter().enumerate() {
-                        gb[i % n] += x * a[i];
+                    let w = n.max(1); // zero-width rows: empty tensors, no chunks
+                    for (g_row, a_row) in g.chunks_exact(w).zip(a.chunks_exact(w)) {
+                        for ((s, &x), &y) in gb.iter_mut().zip(g_row).zip(a_row) {
+                            *s += x * y;
+                        }
                     }
                     acc(pb, &gb);
                 }

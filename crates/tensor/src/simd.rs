@@ -112,9 +112,10 @@ pub fn sum_chunk(x: &[f32]) -> Option<f32> {
 
 /// GEMM row block `c_block += a[row0..row0+rows] · b`, same contract as
 /// the scalar `gemm_rows`: per output element the accumulation order is
-/// `p = 0..k` with separate multiply and add (no FMA), and a four-row
-/// group skips `p` only when all four lanes are exactly zero. Bitwise
-/// tier.
+/// `p = 0..k` with separate multiply and add (no FMA), starting from the
+/// incoming `c` value, and a four-row group skips `p` only when all four
+/// lanes are exactly zero. Column tails narrower than 8 run as masked
+/// 8-lane tiles with the same per-lane sequence. Bitwise tier.
 #[inline]
 pub fn gemm_rows(a: &[f32], b: &[f32], c_block: &mut [f32], row0: usize, rows: usize, k: usize, n: usize) -> bool {
     #[cfg(target_arch = "x86_64")]
@@ -530,9 +531,10 @@ mod x86 {
     // -- GEMM micro-tile -----------------------------------------------------
 
     /// Single output row `c_row += a_row · b`, vectorised over `j` with
-    /// 16-wide then 8-wide tiles and a scalar tail. Per element the order
-    /// is `p = 0..k` with separate mul/add, identical to the scalar
-    /// kernel; `a_row[p] == 0.0` skips exactly like the scalar kernel.
+    /// 16-wide then 8-wide tiles and a masked 8-lane tile for the last
+    /// `n % 8` columns. Per element the order is `p = 0..k` with separate
+    /// mul/add, identical to the scalar kernel; `a_row[p] == 0.0` skips
+    /// exactly like the scalar kernel.
     #[target_feature(enable = "avx2")]
     // SAFETY: AVX2 only (module contract); all loads/stores bounded by
     // the tile loop conditions against `n` and `k`.
@@ -577,23 +579,44 @@ mod x86 {
             jt += 8;
         }
         if jt < n {
-            for (p, &a_ip) in a_row.iter().enumerate() {
-                if a_ip == 0.0 {
-                    continue;
+            // SAFETY: the mask enables exactly the n-jt < 8 in-bounds
+            // columns, so masked loads/stores touch only c_row[jt..n] and
+            // b[p*n+jt..p*n+n]; disabled lanes are neither read nor written.
+            unsafe {
+                let mask = tail_mask(n - jt);
+                let mut acc0 = _mm256_maskload_ps(pc.add(jt), mask);
+                for (p, &a_ip) in a_row.iter().enumerate() {
+                    if a_ip == 0.0 {
+                        continue;
+                    }
+                    let va = _mm256_set1_ps(a_ip);
+                    let b0 = _mm256_maskload_ps(pb.add(p * n + jt), mask);
+                    acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(va, b0));
                 }
-                let b_row = &b[p * n..(p + 1) * n];
-                for j in jt..n {
-                    c_row[j] += a_ip * b_row[j];
-                }
+                _mm256_maskstore_ps(pc.add(jt), mask, acc0);
             }
         }
         let _ = k;
     }
 
+    /// Lane mask enabling the first `rem` (1..=7) of 8 lanes — the
+    /// column tail of the GEMM tiles. A lane is enabled when its sign bit
+    /// is set, which `cmpgt(rem, lane_index)` produces.
+    #[target_feature(enable = "avx2")]
+    // SAFETY: AVX2 only (module contract); no memory access.
+    unsafe fn tail_mask(rem: usize) -> __m256i {
+        _mm256_cmpgt_epi32(
+            _mm256_set1_epi32(rem as i32),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+        )
+    }
+
     /// Four-row micro-tile: 16 output columns held in 8 accumulators
-    /// across the full `p` loop, `b` streamed once per tile. The skip
-    /// condition (all four `a` lanes exactly zero) and the per-element
-    /// order match the scalar four-row kernel bit for bit.
+    /// across the full `p` loop, `b` streamed once per tile; the last
+    /// `n % 8` columns run as one masked 8-lane tile, so narrow products
+    /// (the rating head's 5-wide output layer) stay off the scalar path.
+    /// The skip condition (all four `a` lanes exactly zero) and the
+    /// per-element order match the scalar four-row kernel bit for bit.
     #[target_feature(enable = "avx2")]
     // SAFETY: AVX2 only (module contract); bounds argued per tile below.
     pub(super) unsafe fn gemm_rows_avx2(
@@ -693,22 +716,33 @@ mod x86 {
                 jt += 8;
             }
             if jt < n {
-                for p in 0..k {
-                    let a0 = a0_row[p];
-                    let a1 = a1_row[p];
-                    let a2 = a2_row[p];
-                    let a3 = a3_row[p];
-                    if a0 == 0.0 && a1 == 0.0 && a2 == 0.0 && a3 == 0.0 {
-                        continue;
+                // SAFETY: the mask enables exactly the n-jt < 8 in-bounds
+                // columns of every c tile and b row; disabled lanes are
+                // neither read nor written.
+                unsafe {
+                    let mask = tail_mask(n - jt);
+                    let mut acc00 = _mm256_maskload_ps(pc0.add(jt), mask);
+                    let mut acc10 = _mm256_maskload_ps(pc1.add(jt), mask);
+                    let mut acc20 = _mm256_maskload_ps(pc2.add(jt), mask);
+                    let mut acc30 = _mm256_maskload_ps(pc3.add(jt), mask);
+                    for p in 0..k {
+                        let a0 = a0_row[p];
+                        let a1 = a1_row[p];
+                        let a2 = a2_row[p];
+                        let a3 = a3_row[p];
+                        if a0 == 0.0 && a1 == 0.0 && a2 == 0.0 && a3 == 0.0 {
+                            continue;
+                        }
+                        let b0 = _mm256_maskload_ps(pb.add(p * n + jt), mask);
+                        acc00 = _mm256_add_ps(acc00, _mm256_mul_ps(_mm256_set1_ps(a0), b0));
+                        acc10 = _mm256_add_ps(acc10, _mm256_mul_ps(_mm256_set1_ps(a1), b0));
+                        acc20 = _mm256_add_ps(acc20, _mm256_mul_ps(_mm256_set1_ps(a2), b0));
+                        acc30 = _mm256_add_ps(acc30, _mm256_mul_ps(_mm256_set1_ps(a3), b0));
                     }
-                    let b_row = &b[p * n..(p + 1) * n];
-                    for j in jt..n {
-                        let bv = b_row[j];
-                        c0[j] += a0 * bv;
-                        c1[j] += a1 * bv;
-                        c2[j] += a2 * bv;
-                        c3[j] += a3 * bv;
-                    }
+                    _mm256_maskstore_ps(pc0.add(jt), mask, acc00);
+                    _mm256_maskstore_ps(pc1.add(jt), mask, acc10);
+                    _mm256_maskstore_ps(pc2.add(jt), mask, acc20);
+                    _mm256_maskstore_ps(pc3.add(jt), mask, acc30);
                 }
             }
             i += 4;

@@ -105,6 +105,75 @@ fn gemm_with_zero_rows_matches_serial_bitwise() {
     }
 }
 
+/// Column counts whose `n % 8` covers 1..=7 (plus 0), below one 8-lane
+/// tile, between the 8- and 16-wide tiles and past them, so every width
+/// of the AVX2 kernels' masked column tail runs in both the four-row
+/// tile and the single-row tail. 5 is the rating head's output layer.
+const TAIL_NS: &[usize] = &[1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 21, 22, 36, 39];
+
+#[test]
+fn gemm_column_tails_match_serial_reference_bitwise() {
+    for &n in TAIL_NS {
+        // m = 7 runs one four-row tile then three single rows; k = 96 is
+        // the default rating head's width. Every third `a` entry is zero
+        // so the zero-skip runs inside the masked tile too.
+        for &(m, k) in &[(7usize, 96usize), (130, 11)] {
+            let mut a: Vec<f32> = (0..m * k).map(|i| ((i * 37) % 101) as f32 * 0.173 - 8.0).collect();
+            for v in a.iter_mut().step_by(3) {
+                *v = 0.0;
+            }
+            let b: Vec<f32> = (0..k * n).map(|i| ((i * 53) % 89) as f32 * 0.211 - 9.0).collect();
+            let mut serial = vec![0.0f32; m * n];
+            kernels::gemm_serial(&a, &b, &mut serial, m, k, n);
+            assert_parity(&format!("gemm tail {m}x{k}x{n}"), || {
+                let mut c = vec![0.0f32; m * n];
+                kernels::gemm(&a, &b, &mut c, m, k, n);
+                c
+            });
+            let mut c = vec![0.0f32; m * n];
+            kernels::gemm(&a, &b, &mut c, m, k, n);
+            assert_eq!(bits(&serial), bits(&c), "gemm tail {m}x{k}x{n} vs serial reference");
+        }
+    }
+}
+
+#[test]
+fn gemm_resumes_a_split_sum_bitwise() {
+    // The resume contract the serving head relies on: `gemm` accumulates
+    // into a non-zero `c` in `p` order, so splitting `k` at any point —
+    // first `a[:, ..s]·b[..s]`, then `a[:, s..]·b[s..]` into the same `c`
+    // — is bitwise the one-call product. Also checked directly: a
+    // non-zero seed of `c` matches the serial twin seeded the same way.
+    for &(m, k, n) in &[(9usize, 96usize, 96usize), (8, 36, 36), (5, 7, 5), (130, 97, 13), (1, 3, 2)] {
+        let a: Vec<f32> = (0..m * k).map(|i| ((i * 41) % 113) as f32 * 0.073 - 4.0).collect();
+        let b: Vec<f32> = (0..k * n).map(|i| ((i * 59) % 127) as f32 * 0.057 - 3.5).collect();
+        let seed: Vec<f32> = (0..m * n).map(|i| ((i * 17) % 61) as f32 * 0.31 - 9.0).collect();
+        let mut want = seed.clone();
+        kernels::gemm_serial(&a, &b, &mut want, m, k, n);
+        assert_parity(&format!("gemm into seeded c {m}x{k}x{n}"), || {
+            let mut c = seed.clone();
+            kernels::gemm(&a, &b, &mut c, m, k, n);
+            c
+        });
+        let mut c = seed.clone();
+        kernels::gemm(&a, &b, &mut c, m, k, n);
+        assert_eq!(bits(&want), bits(&c), "gemm into seeded c {m}x{k}x{n}");
+
+        let mut whole = vec![0.0f32; m * n];
+        kernels::gemm(&a, &b, &mut whole, m, k, n);
+        for s in [0, 1, k / 3, k - 1, k] {
+            let (a_lo, a_hi): (Vec<f32>, Vec<f32>) = (
+                a.chunks_exact(k).flat_map(|r| r[..s].to_vec()).collect(),
+                a.chunks_exact(k).flat_map(|r| r[s..].to_vec()).collect(),
+            );
+            let mut c = vec![0.0f32; m * n];
+            kernels::gemm(&a_lo, &b[..s * n], &mut c, m, s, n);
+            kernels::gemm(&a_hi, &b[s * n..], &mut c, m, k - s, n);
+            assert_eq!(bits(&whole), bits(&c), "gemm split at {s} of {m}x{k}x{n}");
+        }
+    }
+}
+
 #[test]
 fn full_reduction_is_thread_count_invariant_bitwise() {
     // Lengths straddling the fixed reduction chunk, including primes.
@@ -138,11 +207,25 @@ fn elementwise_kernels_match_serial_references_bitwise() {
             kernels::zip_map(&a, &b, |x, y| x * y + x)
         });
         assert_eq!(bits(&zip_ref), bits(&kernels::zip_map(&a, &b, |x, y| x * y + x)));
-        let idx_ref = kernels::map_indexed_serial(len, |i| (i % 97) as f32 * 0.31);
-        assert_parity(&format!("map_indexed len {len}"), || {
-            kernels::map_indexed(len, |i| (i % 97) as f32 * 0.31)
-        });
-        assert_eq!(bits(&idx_ref), bits(&kernels::map_indexed(len, |i| (i % 97) as f32 * 0.31)));
+    }
+}
+
+#[test]
+fn row_broadcast_ops_match_flat_index_reference_bitwise() {
+    // `add_row`/`mul_row` fill row by row; they must equal the flat-index
+    // broadcast `a[i] ∘ row[i % n]` bit for bit, at every thread count,
+    // on both sides of the fill grain and for 1-wide and ragged rows.
+    for &(m, n) in &[(1usize, 1usize), (7, 5), (1280, 96), (3, 4097), (4099, 1)] {
+        let a: Vec<f32> = (0..m * n).map(|i| ((i * 43) % 109) as f32 * 0.061 - 3.3).collect();
+        let r: Vec<f32> = (0..n).map(|j| ((j * 31) % 23) as f32 * 0.17 - 1.9).collect();
+        let x = Tensor::from_vec(a.clone(), &[m, n]);
+        let row = Tensor::from_vec(r.clone(), &[n]);
+        let add_ref: Vec<f32> = (0..m * n).map(|i| a[i] + r[i % n]).collect();
+        let mul_ref: Vec<f32> = (0..m * n).map(|i| a[i] * r[i % n]).collect();
+        assert_parity(&format!("add_row {m}x{n}"), || x.add_row(&row).to_vec());
+        assert_parity(&format!("mul_row {m}x{n}"), || x.mul_row(&row).to_vec());
+        assert_eq!(bits(&add_ref), bits(&x.add_row(&row).to_vec()), "add_row {m}x{n}");
+        assert_eq!(bits(&mul_ref), bits(&x.mul_row(&row).to_vec()), "mul_row {m}x{n}");
     }
 }
 
