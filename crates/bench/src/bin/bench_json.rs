@@ -10,6 +10,7 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 use om_bench::bench_scenario;
+use om_bench::replay::summarize;
 use om_obs::json::Json;
 use om_tensor::{kernels, seeded_rng, Tensor};
 use omnimatch_core::{OmniMatchConfig, OmniMatchModel, Trainer};
@@ -27,25 +28,6 @@ fn time_ms(warmup: usize, iters: usize, mut f: impl FnMut()) -> Vec<f64> {
         out.push(t0.elapsed().as_secs_f64() * 1e3);
     }
     out
-}
-
-/// Summary of one benchmark's samples (nearest-rank percentiles).
-fn summarize(name: &str, mut samples: Vec<f64>) -> Json {
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    let n = samples.len();
-    let pct = |q: f64| samples[((q * n as f64).ceil() as usize).clamp(1, n) - 1];
-    let mut o = BTreeMap::new();
-    o.insert("name".to_string(), Json::Str(name.to_string()));
-    o.insert("iters".to_string(), Json::Num(n as f64));
-    o.insert("median_ms".to_string(), Json::Num(pct(0.5)));
-    o.insert("p95_ms".to_string(), Json::Num(pct(0.95)));
-    o.insert(
-        "mean_ms".to_string(),
-        Json::Num(samples.iter().sum::<f64>() / n as f64),
-    );
-    o.insert("min_ms".to_string(), Json::Num(samples[0]));
-    o.insert("max_ms".to_string(), Json::Num(samples[n - 1]));
-    Json::Obj(o)
 }
 
 fn write_report(path: &std::path::Path, group: &str, benches: Vec<Json>) {

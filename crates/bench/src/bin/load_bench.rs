@@ -29,7 +29,9 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 use om_bench::bench_scenario;
-use om_bench::replay::{build_trace, replay_trace, summarize, zipf_pick, Arrival};
+use om_bench::replay::{
+    build_trace, percentile, replay_trace, sorted, summarize, zipf_pick, Arrival,
+};
 use om_data::types::UserId;
 use om_data::ArenaPreset;
 use om_obs::json::Json;
@@ -193,17 +195,10 @@ fn main() {
 
     // ---- open loop -------------------------------------------------------
     if f.mode == "open" || f.mode == "both" {
-        let outcome = replay_trace(
-            &engine,
-            &trace,
-            f.opts.batch,
-            f.opts.wait_us,
-            f.replays,
-            "load.request_latency_ns",
-        );
+        let outcome = replay_trace(&engine, &trace, f.opts.batch, f.opts.wait_us, f.replays);
         let qps = outcome.served as f64 / outcome.compute_s;
-        let lat = om_obs::metrics::histogram("load.request_latency_ns");
-        let q = |p: f64| lat.quantile(p).unwrap_or(0) as f64 / 1e6;
+        let lat = sorted(outcome.latency_ms.clone());
+        let q = |p: f64| percentile(&lat, p);
         println!(
             "load_bench: open loop — {} served, {qps:.0} qps, p50 {:.3} ms, p99 {:.3} ms",
             outcome.served,
@@ -286,8 +281,8 @@ fn main() {
         let stats = fe.shutdown().expect("front-end worker panicked");
         // +1 for the warmup request.
         assert_eq!(stats.served, n as u64 + 1, "closed loop dropped requests");
-        closed_lat_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-        let pct = |q: f64| closed_lat_ms[((q * n as f64).ceil() as usize).clamp(1, n) - 1];
+        let closed_lat_ms = sorted(closed_lat_ms);
+        let pct = |q: f64| percentile(&closed_lat_ms, q);
         let closed_qps = n as f64 / wall_s;
         println!(
             "load_bench: closed loop — {} served in {wall_s:.2} s ({closed_qps:.0} qps), \
@@ -309,9 +304,10 @@ fn main() {
     }
 
     // ---- per-stage latency attribution -----------------------------------
-    // The serving layers record per-request stage timings into the live
-    // plane as they run (the same series `/metrics` scrapes): score/merge
-    // from every engine flush, queue/batch-wait/e2e from the front-end.
+    // The serving layers record per-request stage timings into the
+    // metrics registry as they run (the same series `/metrics` scrapes):
+    // score/merge from every engine flush, queue/batch-wait/e2e from the
+    // front-end.
     // Report them as an informational block — outside `benches`, so the
     // regression gate keys on end-to-end medians only.
     let mut stages = BTreeMap::new();
@@ -322,7 +318,7 @@ fn main() {
         ("merge", "serve.merge"),
         ("e2e", "serve.e2e"),
     ] {
-        let snap = om_obs::live::histogram(series).snapshot();
+        let snap = om_obs::metrics::histogram(series).snapshot();
         if snap.count == 0 {
             continue;
         }

@@ -4,9 +4,9 @@
 //! Trace construction, the virtual-clock replay loop, and the summary
 //! schema live in `om_bench::replay`, shared with `load_bench` (the
 //! million-user sharded variant); this binary keeps the small-catalogue
-//! single-arena measurement the committed baseline tracks. Latency
-//! percentiles come from an `om_obs` histogram; exact f64 samples feed
-//! the `bench_json`-schema summaries that `bench_gate` compares.
+//! single-arena measurement the committed baseline tracks. The reported
+//! latency percentiles and the `bench_json`-schema summaries that
+//! `bench_gate` compares read the same exact f64 samples.
 //!
 //! Usage: `cargo run --release -p om-bench --bin serve_bench [out_dir]`.
 
@@ -14,9 +14,8 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 use om_bench::bench_scenario;
-use om_bench::replay::{build_trace, replay_trace, summarize, Arrival};
+use om_bench::replay::{build_trace, percentile, replay_trace, sorted, summarize, Arrival};
 use om_obs::json::Json;
-use om_obs::metrics::histogram;
 use om_serve::{ServeEngine, ServeOptions};
 use omnimatch_core::{OmniMatchConfig, Trainer};
 
@@ -52,19 +51,12 @@ fn main() {
     let trace = build_trace(REQUESTS, Arrival::Jittered { mean_gap_us: MEAN_GAP_US }, |h| {
         users[(h >> 32) as usize % users.len()]
     });
-    let outcome = replay_trace(
-        &engine,
-        &trace,
-        opts.batch,
-        opts.wait_us,
-        REPLAYS,
-        "serve.request_latency_ns",
-    );
+    let outcome = replay_trace(&engine, &trace, opts.batch, opts.wait_us, REPLAYS);
 
     // ---- report ----------------------------------------------------------
     let qps = outcome.served as f64 / outcome.compute_s;
-    let lat = histogram("serve.request_latency_ns");
-    let q = |p: f64| lat.quantile(p).unwrap_or(0) as f64 / 1e6;
+    let lat = sorted(outcome.latency_ms.clone());
+    let q = |p: f64| percentile(&lat, p);
     let mut serve = BTreeMap::new();
     serve.insert("requests".to_string(), Json::Num(outcome.served as f64));
     serve.insert("flushes".to_string(), Json::Num(outcome.flush_ms.len() as f64));

@@ -99,18 +99,16 @@ pub struct ReplayOutcome {
 
 /// Replay `trace` through a fresh [`Microbatcher`] per pass: one
 /// discarded warmup, then `replays` measured passes. Per-request
-/// latencies are recorded into the `om_obs` histogram named `hist` (in
-/// nanoseconds) so the caller can read p50/p95/p99 from the same sketch
-/// the observability stack uses. Panics if a replay drops a request.
+/// latencies are kept as exact samples ([`ReplayOutcome::latency_ms`]);
+/// read percentiles from them with [`percentile`]. Panics if a replay
+/// drops a request.
 pub fn replay_trace<S: BatchScorer>(
     scorer: &S,
     trace: &[Request],
     batch: usize,
     wait_us: u64,
     replays: usize,
-    hist: &str,
 ) -> ReplayOutcome {
-    let lat = om_obs::metrics::histogram(hist);
     let mut out = ReplayOutcome {
         flush_ms: Vec::new(),
         latency_ms: Vec::new(),
@@ -133,9 +131,7 @@ pub fn replay_trace<S: BatchScorer>(
             out.flush_ms.push(dt * 1e3);
             for r in &reqs {
                 let wait_ms = (virtual_now - r.arrive_us) as f64 / 1e3;
-                let total = wait_ms + dt * 1e3;
-                out.latency_ms.push(total);
-                lat.record((total * 1e6) as u64);
+                out.latency_ms.push(wait_ms + dt * 1e3);
             }
         };
         for req in trace {
@@ -162,12 +158,25 @@ pub fn replay_trace<S: BatchScorer>(
     out
 }
 
+/// `samples` in ascending order (timings are finite by construction).
+pub fn sorted(mut samples: Vec<f64>) -> Vec<f64> {
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+    samples
+}
+
+/// The nearest-rank `q`-percentile of ascending, non-empty `sorted`
+/// samples — the rank rule ([`om_obs::metrics::nearest_rank`]) the
+/// histogram quantiles use, applied to exact samples.
+pub fn percentile(sorted: &[f64], q: f64) -> f64 {
+    sorted[om_obs::metrics::nearest_rank(q, sorted.len() as u64) as usize - 1]
+}
+
 /// Summary of one benchmark's samples (nearest-rank percentiles) —
 /// matches the `bench_json` schema that `bench_gate` reads.
-pub fn summarize(name: &str, mut samples: Vec<f64>) -> Json {
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+pub fn summarize(name: &str, samples: Vec<f64>) -> Json {
+    let samples = sorted(samples);
     let n = samples.len();
-    let pct = |q: f64| samples[((q * n as f64).ceil() as usize).clamp(1, n) - 1];
+    let pct = |q: f64| percentile(&samples, q);
     let mut o = BTreeMap::new();
     o.insert("name".to_string(), Json::Str(name.to_string()));
     o.insert("iters".to_string(), Json::Num(n as f64));
@@ -226,7 +235,13 @@ mod tests {
         let f = |k: &str| s.get(k).and_then(Json::as_f64).expect("field");
         assert_eq!(f("iters"), 4.0);
         assert_eq!(f("median_ms"), 2.0);
+        assert_eq!(f("p95_ms"), 4.0);
         assert_eq!(f("min_ms"), 1.0);
         assert_eq!(f("max_ms"), 4.0);
+        let twenty = sorted((1..=20).rev().map(f64::from).collect());
+        assert_eq!(percentile(&twenty, 0.5), 10.0);
+        assert_eq!(percentile(&twenty, 0.95), 19.0);
+        assert_eq!(percentile(&twenty, 0.0), 1.0);
+        assert_eq!(percentile(&twenty, 1.0), 20.0);
     }
 }

@@ -209,7 +209,7 @@ fn main() {
     );
 
     // The new series must be visible to /statz without http.rs edits.
-    let statz = om_obs::live::render_statz(&om_obs::live::snapshot_all()).to_string();
+    let statz = om_obs::http::render_statz(&om_obs::metrics::snapshot()).to_string();
     for series in ["serve.graduations", "serve.update.swaps", "serve.frontend.interactions"] {
         assert!(statz.contains(series), "{series} missing from /statz");
     }

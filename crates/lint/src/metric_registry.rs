@@ -14,8 +14,8 @@
 //! (no undocumented series), and a declared name with no remaining
 //! emission site fails too (no zombie docs). Matching whole literals —
 //! rather than `counter(...)` call shapes — catches indirect emission
-//! through helpers, both metric planes ([`om_obs::metrics`] and
-//! [`om_obs::live`]), manifest keys and health-probe names alike.
+//! through helpers, the [`om_obs::metrics`] registry, manifest keys and
+//! health-probe names alike.
 //!
 //! `cargo lint -- --metric-table` renders the registry as the markdown
 //! table README embeds between `<!-- om-metric-table:begin -->` /
@@ -46,12 +46,6 @@ pub struct Metric {
 
 /// Every scoped metric name the workspace emits, alphabetical.
 pub const REGISTRY: &[Metric] = &[
-    Metric {
-        name: "load.request_latency_ns",
-        kind: "histogram",
-        emitter: "om-bench",
-        doc: "end-to-end request latency under the Zipfian load harness",
-    },
     Metric {
         name: "serve.arena.items",
         kind: "counter",
@@ -92,13 +86,13 @@ pub const REGISTRY: &[Metric] = &[
         name: "serve.flush_ns",
         kind: "histogram",
         emitter: "om-serve",
-        doc: "wall time of one single-arena engine flush",
+        doc: "wall time of one engine flush (either engine)",
     },
     Metric {
         name: "serve.flushes",
         kind: "counter",
         emitter: "om-serve",
-        doc: "microbatch flushes through the single-arena engine",
+        doc: "microbatch flushes through either engine",
     },
     Metric {
         name: "serve.frontend.admitted",
@@ -209,16 +203,10 @@ pub const REGISTRY: &[Metric] = &[
         doc: "ns from admission to worker dequeue, per request",
     },
     Metric {
-        name: "serve.request_latency_ns",
-        kind: "histogram",
-        emitter: "om-bench",
-        doc: "closed-loop request latency in the serving bench",
-    },
-    Metric {
         name: "serve.requests",
         kind: "counter",
         emitter: "om-serve",
-        doc: "requests scored by the single-arena engine",
+        doc: "requests scored by either engine",
     },
     Metric {
         name: "serve.score",
@@ -231,24 +219,6 @@ pub const REGISTRY: &[Metric] = &[
         kind: "health",
         emitter: "om-serve",
         doc: "readiness probe: scorer factory finished (model loaded, arena mapped)",
-    },
-    Metric {
-        name: "serve.shard.flush_ns",
-        kind: "histogram",
-        emitter: "om-serve",
-        doc: "wall time of one sharded-engine flush",
-    },
-    Metric {
-        name: "serve.shard.flushes",
-        kind: "counter",
-        emitter: "om-serve",
-        doc: "microbatch flushes through the sharded engine",
-    },
-    Metric {
-        name: "serve.shard.requests",
-        kind: "counter",
-        emitter: "om-serve",
-        doc: "requests scored by the sharded engine",
     },
     Metric {
         name: "serve.smoke_ok",

@@ -81,7 +81,7 @@ pub const PANIC_FREE_FILES: &[&str] = &[
     "crates/serve/src/frontend.rs",
     "crates/serve/src/batcher.rs",
     "crates/serve/src/update.rs",
-    "crates/obs/src/live.rs",
+    "crates/obs/src/metrics.rs",
     "crates/obs/src/http.rs",
     "crates/obs/src/flightrec.rs",
 ];

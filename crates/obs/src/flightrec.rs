@@ -1,7 +1,7 @@
 //! The crash flight recorder: a fixed-size ring of the most recent
 //! per-request event records, dumped to disk when something goes wrong.
 //!
-//! The live stats plane ([`crate::live`]) answers "how is the server
+//! The metrics registry ([`crate::metrics`]) answers "how is the server
 //! doing"; the flight recorder answers "what exactly happened just before
 //! it stopped doing it". The serving front-end appends one compact record
 //! per noteworthy request event (served with its stage timings, rejected,

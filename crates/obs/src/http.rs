@@ -1,13 +1,14 @@
 //! The dependency-free stats endpoint: a hand-rolled HTTP/1.0 server over
-//! `std::net::TcpListener` exposing the live stats plane.
+//! `std::net::TcpListener` exposing the metrics registry while the
+//! process runs.
 //!
 //! Three routes, all `GET`, all `Connection: close`:
 //!
 //! | route | body |
 //! |---|---|
-//! | `/metrics` | Prometheus text exposition of [`crate::live::snapshot_all`] |
+//! | `/metrics` | Prometheus text exposition of [`crate::metrics::snapshot`] ([`render_prometheus`]) |
 //! | `/healthz` | readiness: every registered [`set_health`] probe, `200` when all pass, `503` naming the failures |
-//! | `/statz` | the live snapshot as one JSON object |
+//! | `/statz` | the same snapshot as one JSON object ([`render_statz`]) |
 //!
 //! Gated by `OM_OBS_ADDR` ([`spawn_from_env`]): unset means no socket is
 //! ever opened; `127.0.0.1:0` binds an ephemeral loopback port (the CI
@@ -33,7 +34,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
-use crate::live;
+use crate::json::Json;
+use crate::metrics::{self, bucket_bounds, MetricValue, Snapshot};
 
 /// Hard cap on the bytes read from one request (headers included).
 pub const MAX_REQUEST_BYTES: usize = 8 * 1024;
@@ -213,7 +215,7 @@ fn respond(raw: &[u8]) -> (&'static str, &'static str, String) {
         "/metrics" => (
             "200 OK",
             "text/plain; version=0.0.4",
-            live::render_prometheus(&live::snapshot_all()),
+            render_prometheus(&metrics::snapshot()),
         ),
         "/healthz" => {
             let (all, probes) = health_report();
@@ -230,12 +232,93 @@ fn respond(raw: &[u8]) -> (&'static str, &'static str, String) {
             }
         }
         "/statz" => {
-            let mut body = live::render_statz(&live::snapshot_all()).to_string();
+            let mut body = render_statz(&metrics::snapshot()).to_string();
             body.push('\n');
             ("200 OK", "application/json", body)
         }
         _ => ("404 Not Found", "text/plain", "not found\n".to_string()),
     }
+}
+
+/// A metric name in Prometheus form: every character outside
+/// `[a-zA-Z0-9_]` becomes `_` (so `serve.queue_wait` →
+/// `serve_queue_wait`).
+fn prometheus_name(name: &str) -> String {
+    name.chars()
+        .map(|c| if c.is_ascii_alphanumeric() || c == '_' { c } else { '_' })
+        .collect()
+}
+
+/// Render a snapshot as Prometheus text exposition (version 0.0.4):
+/// counters and gauges as single samples, histograms as cumulative
+/// `_bucket{le="…"}` series plus `_sum` / `_count`.
+pub fn render_prometheus(snap: &Snapshot) -> String {
+    let mut out = String::new();
+    for (name, value) in &snap.metrics {
+        let pname = prometheus_name(name);
+        match value {
+            MetricValue::Counter(value) => {
+                out.push_str(&format!("# TYPE {pname} counter\n{pname} {value}\n"));
+            }
+            MetricValue::Gauge(value) => {
+                out.push_str(&format!("# TYPE {pname} gauge\n{pname} {value}\n"));
+            }
+            MetricValue::Histogram(hist) => {
+                out.push_str(&format!("# TYPE {pname} histogram\n"));
+                // Render up to the highest non-empty bucket, cumulative,
+                // then the mandatory `+Inf` catch-all.
+                let last = hist
+                    .buckets
+                    .iter()
+                    .rposition(|&c| c > 0)
+                    .map(|i| i + 1)
+                    .unwrap_or(0);
+                let mut cum = 0u64;
+                for (i, c) in hist.buckets.iter().take(last).enumerate() {
+                    cum += c;
+                    let (_, hi) = bucket_bounds(i);
+                    out.push_str(&format!("{pname}_bucket{{le=\"{hi}\"}} {cum}\n"));
+                }
+                out.push_str(&format!(
+                    "{pname}_bucket{{le=\"+Inf\"}} {}\n{pname}_sum {}\n{pname}_count {}\n",
+                    hist.count, hist.sum, hist.count
+                ));
+            }
+        }
+    }
+    out
+}
+
+/// Render a snapshot as the `/statz` JSON object: one key per metric;
+/// histograms carry count/sum/quantile estimates plus the sparse buckets.
+pub fn render_statz(snap: &Snapshot) -> Json {
+    let mut obj = BTreeMap::new();
+    for (name, value) in &snap.metrics {
+        let value = match value {
+            MetricValue::Counter(value) | MetricValue::Gauge(value) => Json::Num(*value as f64),
+            MetricValue::Histogram(hist) => {
+                let mut h = BTreeMap::new();
+                h.insert("count".to_string(), Json::Num(hist.count as f64));
+                h.insert("sum".to_string(), Json::Num(hist.sum as f64));
+                for (key, q) in [("p50", 0.5), ("p95", 0.95), ("p99", 0.99)] {
+                    if let Some(est) = hist.quantile(q) {
+                        h.insert(key.to_string(), Json::Num(est as f64));
+                    }
+                }
+                let buckets: Vec<Json> = hist
+                    .buckets
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &c)| c > 0)
+                    .map(|(i, &c)| Json::Arr(vec![Json::Num(i as f64), Json::Num(c as f64)]))
+                    .collect();
+                h.insert("buckets".to_string(), Json::Arr(buckets));
+                Json::Obj(h)
+            }
+        };
+        obj.insert(name.clone(), value);
+    }
+    Json::Obj(obj)
 }
 
 /// The `(method, path)` of an HTTP request line, if the bytes hold one.
@@ -282,9 +365,9 @@ mod tests {
 
     #[test]
     fn endpoint_serves_metrics_healthz_statz() {
-        let c = crate::live::counter("test.http.hits");
+        let c = crate::metrics::counter("test.http.hits");
         c.add(3);
-        let h = crate::live::histogram("test.http.lat");
+        let h = crate::metrics::histogram("test.http.lat");
         h.record(100);
         // om-lint: allow(thread-spawn) — test exercising the endpoint.
         let server = StatsServer::spawn("127.0.0.1:0").expect("bind loopback");
@@ -325,6 +408,78 @@ mod tests {
         assert!(garbage.starts_with("HTTP/1.0 400"), "{garbage}");
 
         server.shutdown();
+    }
+
+    #[test]
+    fn renderings_are_pinned_byte_for_byte() {
+        // Scrapers key on these exact names, `le` labels and JSON keys.
+        metrics::counter("golden.requests").add(7);
+        let _ = metrics::counter("golden.zero");
+        metrics::gauge("golden.depth").set(3);
+        let h = metrics::histogram("golden.lat");
+        for v in [0u64, 1, 3, 1000, 123_456, 5_000_000_000] {
+            h.record(v);
+        }
+        let _ = metrics::histogram("golden.empty");
+        let mut snap = metrics::snapshot();
+        snap.metrics.retain(|name, _| name.starts_with("golden."));
+        let prom = r#"# TYPE golden_depth gauge
+golden_depth 3
+# TYPE golden_empty histogram
+golden_empty_bucket{le="+Inf"} 0
+golden_empty_sum 0
+golden_empty_count 0
+# TYPE golden_lat histogram
+golden_lat_bucket{le="0"} 1
+golden_lat_bucket{le="1"} 2
+golden_lat_bucket{le="3"} 3
+golden_lat_bucket{le="7"} 3
+golden_lat_bucket{le="15"} 3
+golden_lat_bucket{le="31"} 3
+golden_lat_bucket{le="63"} 3
+golden_lat_bucket{le="127"} 3
+golden_lat_bucket{le="255"} 3
+golden_lat_bucket{le="511"} 3
+golden_lat_bucket{le="1023"} 4
+golden_lat_bucket{le="2047"} 4
+golden_lat_bucket{le="4095"} 4
+golden_lat_bucket{le="8191"} 4
+golden_lat_bucket{le="16383"} 4
+golden_lat_bucket{le="32767"} 4
+golden_lat_bucket{le="65535"} 4
+golden_lat_bucket{le="131071"} 5
+golden_lat_bucket{le="262143"} 5
+golden_lat_bucket{le="524287"} 5
+golden_lat_bucket{le="1048575"} 5
+golden_lat_bucket{le="2097151"} 5
+golden_lat_bucket{le="4194303"} 5
+golden_lat_bucket{le="8388607"} 5
+golden_lat_bucket{le="16777215"} 5
+golden_lat_bucket{le="33554431"} 5
+golden_lat_bucket{le="67108863"} 5
+golden_lat_bucket{le="134217727"} 5
+golden_lat_bucket{le="268435455"} 5
+golden_lat_bucket{le="536870911"} 5
+golden_lat_bucket{le="1073741823"} 5
+golden_lat_bucket{le="2147483647"} 5
+golden_lat_bucket{le="4294967295"} 5
+golden_lat_bucket{le="8589934591"} 6
+golden_lat_bucket{le="+Inf"} 6
+golden_lat_sum 5000124460
+golden_lat_count 6
+# TYPE golden_requests counter
+golden_requests 7
+# TYPE golden_zero counter
+golden_zero 0
+"#;
+        assert_eq!(render_prometheus(&snap), prom);
+        assert_eq!(
+            render_statz(&snap).to_string(),
+            "{\"golden.depth\":3,\"golden.empty\":{\"buckets\":[],\"count\":0,\"sum\":0},\
+             \"golden.lat\":{\"buckets\":[[0,1],[1,1],[2,1],[10,1],[17,1],[33,1]],\"count\":6,\
+             \"p50\":2,\"p95\":6442450943,\"p99\":6442450943,\"sum\":5000124460},\
+             \"golden.requests\":7,\"golden.zero\":0}"
+        );
     }
 
     #[test]

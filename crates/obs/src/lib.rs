@@ -1,10 +1,10 @@
 //! # om-obs
 //!
 //! Zero-dependency observability for the OmniMatch stack: a span-based
-//! tracer, a metrics registry (counters / gauges / fixed-bucket
-//! histograms), a leveled logging facade and two file sinks (a JSONL event
-//! stream and a `chrome://tracing`-compatible trace), all designed around
-//! two hard constraints:
+//! tracer, one metrics registry (counters / integer gauges / fixed-bucket
+//! seqlock histograms), a leveled logging facade and two file sinks (a
+//! JSONL event stream and a `chrome://tracing`-compatible trace), all
+//! designed around two hard constraints:
 //!
 //! 1. **Near-zero overhead when disabled.** Every public entry point
 //!    guards on one relaxed atomic load ([`enabled`]). A disabled
@@ -25,10 +25,12 @@
 //! | `OM_OBS_ADDR=host:port` | serve `/metrics`, `/healthz`, `/statz` over HTTP (see [`http`]; default: no socket) |
 //! | `OM_FAULT=site:nth` | fault injection: kill the process at a named kill point (see [`fault`]) |
 //!
-//! Independent of `OM_OBS`, the **live stats plane** ([`live`]) is always
-//! on: cheap atomic counters/gauges and seqlock histograms readable at
-//! any moment, exposed over HTTP by [`http`] and complemented by the
-//! [`flightrec`] crash flight recorder.
+//! Independent of `OM_OBS`, the **metrics registry** ([`metrics`]) is
+//! always on: cheap atomic counters/gauges and seqlock histograms that
+//! never reset and can be read at any moment. The same registry feeds
+//! `/metrics` and `/statz` over HTTP ([`http`]) and each run's
+//! `events.jsonl` (the window since the previous run finished); the
+//! [`flightrec`] crash flight recorder complements it.
 //!
 //! Tests override all three programmatically ([`set_enabled`],
 //! [`logger::set_level`], [`set_out_root`]) — environment reads happen
@@ -49,7 +51,6 @@ pub mod fault;
 pub mod flightrec;
 pub mod http;
 pub mod json;
-pub mod live;
 pub mod logger;
 pub mod metrics;
 pub mod report;

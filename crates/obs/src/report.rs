@@ -122,6 +122,7 @@ pub fn validate_events(text: &str) -> Result<EventStats, String> {
                 let buckets = require(&obj, "buckets", no)?
                     .as_arr()
                     .ok_or_else(|| format!("line {no}: `buckets` must be an array"))?;
+                let mut in_buckets = 0u64;
                 for b in buckets {
                     let pair = b.as_arr().unwrap_or(&[]);
                     let ok = pair.len() == 2
@@ -132,6 +133,13 @@ pub fn validate_events(text: &str) -> Result<EventStats, String> {
                             "line {no}: histogram buckets must be [index,count] pairs"
                         ));
                     }
+                    in_buckets += pair[1].as_u64().unwrap_or(0);
+                }
+                let count = obj.get("count").and_then(Json::as_u64).unwrap_or(0);
+                if count != in_buckets {
+                    return Err(format!(
+                        "line {no}: histogram count {count} != {in_buckets} samples in its buckets"
+                    ));
                 }
                 stats.metrics += 1;
             }
@@ -454,7 +462,7 @@ pub fn summarize(dir: &Path) -> Result<String, String> {
             out.push_str(&format!("{name} = {v}\n"));
         }
         for (name, v) in &gauges {
-            out.push_str(&format!("{name} = {v:.6}\n"));
+            out.push_str(&format!("{name} = {v}\n"));
         }
     }
 
@@ -515,6 +523,13 @@ mod tests {
         );
         let err = validate_events(no_dur).unwrap_err();
         assert!(err.contains("dur_ns"), "{err}");
+        let torn_hist = concat!(
+            "{\"kind\":\"run\",\"t\":0,\"name\":\"x\",\"schema\":1}\n",
+            "{\"kind\":\"hist\",\"t\":10,\"name\":\"h\",\"count\":3,\"sum\":9,\"buckets\":[[2,1],[3,1]]}\n",
+        );
+        let err = validate_events(torn_hist).unwrap_err();
+        assert!(err.contains("count 3"), "{err}");
+        assert!(validate_events(&torn_hist.replace("\"count\":3", "\"count\":2")).is_ok());
         let bad_schema = "{\"kind\":\"run\",\"t\":0,\"name\":\"x\",\"schema\":99}\n";
         assert!(validate_events(bad_schema).unwrap_err().contains("schema"));
         assert!(validate_events("not json\n").is_err());

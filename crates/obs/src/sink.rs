@@ -1,11 +1,13 @@
 //! Event stream, run lifecycle and the two file sinks.
 //!
-//! Everything recorded while observability is enabled — [`emit`]ted events,
-//! completed spans, metric snapshots — accumulates in process-global
-//! buffers. A *run* gives those buffers a destination: [`run_begin`] names
-//! it (first caller wins, so the table binary that wraps several
-//! `Trainer::fit` calls owns one artifact), [`run_finish`] drains every
-//! buffer and writes three files under `<out_root>/<run>/`:
+//! Everything recorded while observability is enabled — [`emit`]ted events
+//! and completed spans — accumulates in process-global buffers. A *run*
+//! gives those buffers a destination: [`run_begin`] names it (first caller
+//! wins, so the table binary that wraps several `Trainer::fit` calls owns
+//! one artifact), [`run_finish`] drains every buffer, takes the metrics
+//! window since the previous run finished ([`metrics::Snapshot::since`];
+//! the registry itself never resets) and writes three files under
+//! `<out_root>/<run>/`:
 //!
 //! * `events.jsonl` — one JSON object per line; every line has `"kind"`
 //!   and `"t"` (ns since the process anchor). Kinds: `run`, `log`, `span`,
@@ -104,6 +106,9 @@ static RUN: Mutex<Option<String>> = Mutex::new(None);
 static RUN_DIR: Mutex<Option<PathBuf>> = Mutex::new(None);
 static OUT_ROOT: Mutex<Option<PathBuf>> = Mutex::new(None);
 static MANIFEST: Mutex<Option<BTreeMap<String, Value>>> = Mutex::new(None);
+/// The registry as the previous [`run_finish`] read it (empty at process
+/// start): each run reports the window since then.
+static METRICS_BASELINE: Mutex<metrics::Snapshot> = Mutex::new(metrics::Snapshot::new());
 
 fn lock<T>(m: &'static Mutex<T>) -> std::sync::MutexGuard<'static, T> {
     // A panic while holding one of these only interrupts bookkeeping
@@ -237,8 +242,9 @@ pub fn run_scope(name: &str) -> RunScope {
     }
 }
 
-/// Close the active run: drain every buffer (events, spans, metrics) and
-/// write `events.jsonl`, `trace.json` and `manifest.json` under
+/// Close the active run: drain every buffer (events, spans), take the
+/// metrics window since the previous run finished, and write
+/// `events.jsonl`, `trace.json` and `manifest.json` under
 /// `<out_root>/<run>/`. Returns the run directory, or `None` when no run
 /// was active or the filesystem refused (a warning is printed; training
 /// results are never affected by sink failures).
@@ -247,7 +253,13 @@ pub fn run_finish() -> Option<PathBuf> {
     let t_end = clock::now_ns();
     let events = std::mem::take(&mut *lock(&EVENTS));
     let threads = trace::drain();
-    let metric_snaps = metrics::snapshot();
+    let metric_window = {
+        let mut baseline = lock(&METRICS_BASELINE);
+        let now = metrics::snapshot();
+        let window = now.since(&baseline);
+        *baseline = now;
+        window
+    };
     let meta = lock(&MANIFEST).take().unwrap_or_default();
 
     // Reuse the directory a mid-run artifact dump already pinned, so the
@@ -291,8 +303,8 @@ pub fn run_finish() -> Option<PathBuf> {
             ));
         }
     }
-    for m in &metric_snaps {
-        jsonl.push_str(&metric_line(m, t_end));
+    for (name, value) in &metric_window.metrics {
+        jsonl.push_str(&metric_line(name, value, t_end));
     }
 
     let trace_json = chrome_trace(&threads);
@@ -341,27 +353,27 @@ fn event_line(ev: &Event) -> String {
     line
 }
 
-fn metric_line(m: &metrics::MetricSnapshot, t_end: u64) -> String {
-    match m {
-        metrics::MetricSnapshot::Counter { name, value } => format!(
-            "{{\"kind\":\"counter\",\"t\":{t_end},\"name\":{},\"value\":{value}}}\n",
-            escape(name)
-        ),
-        metrics::MetricSnapshot::Gauge { name, value } => format!(
-            "{{\"kind\":\"gauge\",\"t\":{t_end},\"name\":{},\"value\":{}}}\n",
-            escape(name),
-            number(*value)
-        ),
-        metrics::MetricSnapshot::Histogram {
-            name,
-            count,
-            sum,
-            buckets,
-        } => {
-            let pairs: Vec<String> = buckets.iter().map(|(i, c)| format!("[{i},{c}]")).collect();
+fn metric_line(name: &str, value: &metrics::MetricValue, t_end: u64) -> String {
+    let name = escape(name);
+    match value {
+        metrics::MetricValue::Counter(v) => {
+            format!("{{\"kind\":\"counter\",\"t\":{t_end},\"name\":{name},\"value\":{v}}}\n")
+        }
+        metrics::MetricValue::Gauge(v) => {
+            format!("{{\"kind\":\"gauge\",\"t\":{t_end},\"name\":{name},\"value\":{v}}}\n")
+        }
+        metrics::MetricValue::Histogram(h) => {
+            let pairs: Vec<String> = h
+                .buckets
+                .iter()
+                .enumerate()
+                .filter(|(_, &c)| c > 0)
+                .map(|(i, c)| format!("[{i},{c}]"))
+                .collect();
             format!(
-                "{{\"kind\":\"hist\",\"t\":{t_end},\"name\":{},\"count\":{count},\"sum\":{sum},\"buckets\":[{}]}}\n",
-                escape(name),
+                "{{\"kind\":\"hist\",\"t\":{t_end},\"name\":{name},\"count\":{},\"sum\":{},\"buckets\":[{}]}}\n",
+                h.count,
+                h.sum,
                 pairs.join(",")
             )
         }

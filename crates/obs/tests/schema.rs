@@ -3,6 +3,9 @@
 //! it against the schema — the same [`om_obs::report::validate_events`]
 //! the CI smoke job and `obs-report` apply.
 
+use std::collections::BTreeMap;
+use std::path::Path;
+
 use om_obs::json::Json;
 use om_obs::report::validate_events;
 use om_obs::{metrics, Value};
@@ -48,7 +51,7 @@ fn emitted_stream_round_trips_through_the_schema() {
     }
     om_obs::trace::busy_add(12_345);
     metrics::counter("test.flops").add(1_000_000);
-    metrics::gauge("test.ratio").set(0.5);
+    metrics::gauge("test.depth").set(3);
     let h = metrics::histogram("test.latency");
     for v in [1u64, 10, 100, 1000, 10_000] {
         h.record(v);
@@ -136,6 +139,72 @@ fn emitted_stream_round_trips_through_the_schema() {
     assert!(report.contains("test.outer"), "{report}");
     assert!(report.contains("loss curves"), "{report}");
     assert!(report.contains("test.latency"), "{report}");
+
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The `counter` and `hist` lines of a run's `events.jsonl`, by name.
+fn metric_lines(dir: &Path) -> BTreeMap<String, Json> {
+    let text = std::fs::read_to_string(dir.join("events.jsonl")).unwrap();
+    validate_events(&text).unwrap_or_else(|e| panic!("schema violation: {e}"));
+    text.lines()
+        .map(|l| Json::parse(l).unwrap())
+        .filter(|l| matches!(l.get("kind").and_then(Json::as_str), Some("counter" | "hist")))
+        .map(|l| (l.get("name").and_then(Json::as_str).unwrap().to_string(), l))
+        .collect()
+}
+
+#[test]
+fn consecutive_runs_each_write_only_their_own_metric_deltas() {
+    let _g = lock();
+    let root = temp_root("windows");
+    let _ = std::fs::remove_dir_all(&root);
+    let prev_root = om_obs::set_out_root(&root);
+    let prev = om_obs::set_enabled(true);
+
+    let count = metrics::counter("window.count");
+    let lat = metrics::histogram("window.lat");
+    // Recorded between runs: belongs to the next window only.
+    metrics::counter("window.idle").add(1);
+
+    assert!(om_obs::run_begin("window-a"));
+    count.add(2);
+    lat.record(10);
+    let first = om_obs::run_finish().expect("first run written");
+
+    assert!(om_obs::run_begin("window-b"));
+    count.add(5);
+    lat.record(1000);
+    lat.record(1000);
+    let second = om_obs::run_finish().expect("second run written");
+
+    om_obs::set_enabled(prev);
+    match prev_root {
+        Some(p) => {
+            om_obs::set_out_root(p);
+        }
+        None => {
+            om_obs::set_out_root(om_obs::out_root());
+        }
+    }
+
+    let (a, b) = (metric_lines(&first), metric_lines(&second));
+    let field = |lines: &BTreeMap<String, Json>, name: &str, key: &str| {
+        lines.get(name).and_then(|l| l.get(key)).and_then(Json::as_u64)
+    };
+    assert_eq!(field(&a, "window.count", "value"), Some(2));
+    assert_eq!(field(&b, "window.count", "value"), Some(5));
+    assert_eq!(field(&a, "window.lat", "count"), Some(1));
+    assert_eq!(field(&a, "window.lat", "sum"), Some(10));
+    assert_eq!(field(&b, "window.lat", "count"), Some(2));
+    assert_eq!(field(&b, "window.lat", "sum"), Some(2000));
+    assert_eq!(
+        b.get("window.lat").and_then(|l| l.get("buckets")).map(Json::to_string),
+        Some("[[10,2]]".to_string()),
+        "the second window holds only its own samples"
+    );
+    assert_eq!(field(&a, "window.idle", "value"), Some(1));
+    assert!(!b.contains_key("window.idle"), "a series that did not move is omitted");
 
     let _ = std::fs::remove_dir_all(&root);
 }

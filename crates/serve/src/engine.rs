@@ -152,6 +152,33 @@ fn store_lock(cell: &Mutex<InteractionStore>) -> MutexGuard<'_, InteractionStore
     }
 }
 
+/// Run and record one engine flush — the one recorder behind both
+/// engines' `serve_batch`. `score` is the scoring forward (for the
+/// sharded engine, per-shard top-K included), `merge` turns its output
+/// into one response per request. Each flush records `serve.requests`,
+/// `serve.flushes`, `serve.flush_ns`, and the stage histograms
+/// `serve.score` / `serve.merge`, once.
+pub(crate) fn timed_flush<S>(
+    reqs: &[Request],
+    score: impl FnOnce() -> Result<S, ServeError>,
+    merge: impl FnOnce(S) -> Vec<Response>,
+) -> Result<Vec<Response>, ServeError> {
+    if reqs.is_empty() {
+        return Ok(Vec::new());
+    }
+    let t0 = om_obs::clock::now_ns();
+    let scored = score()?;
+    let t_scored = om_obs::clock::now_ns();
+    let out = merge(scored);
+    let t_merged = om_obs::clock::now_ns();
+    om_obs::metrics::counter("serve.requests").add(reqs.len() as u64);
+    om_obs::metrics::counter("serve.flushes").add(1);
+    om_obs::metrics::histogram("serve.flush_ns").record(t_merged.saturating_sub(t0));
+    om_obs::metrics::histogram("serve.score").record(t_scored.saturating_sub(t0));
+    om_obs::metrics::histogram("serve.merge").record(t_merged.saturating_sub(t_scored));
+    Ok(out)
+}
+
 impl ServeEngine {
     /// Precompute the arenas and assemble the engine. `warm` lists users
     /// whose target-side features may be cached (typically the training
@@ -257,30 +284,16 @@ impl ServeEngine {
 
     /// Serve a microbatch: one fused forward, then per-request top-K.
     pub fn serve_batch(&self, reqs: &[Request]) -> Result<Vec<Response>, ServeError> {
-        if reqs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let t0 = om_obs::clock::now_ns();
-        let rows = self.score_batch(reqs)?;
-        let t_scored = om_obs::clock::now_ns();
-        let out: Vec<Response> = reqs
-            .iter()
-            .zip(&rows)
-            .map(|(&req, scores)| self.respond(req, scores))
-            .collect();
-        let t_merged = om_obs::clock::now_ns();
-        om_obs::metrics::counter("serve.requests").add(reqs.len() as u64);
-        om_obs::metrics::counter("serve.flushes").add(1);
-        om_obs::metrics::histogram("serve.flush_ns").record(t_merged.saturating_sub(t0));
-        // Stage attribution, into both planes (see frontend.rs docs):
-        // score = the fused forward; merge = per-request top-K selection.
-        let score_ns = t_scored.saturating_sub(t0);
-        let merge_ns = t_merged.saturating_sub(t_scored);
-        om_obs::metrics::histogram("serve.score").record(score_ns);
-        om_obs::live::histogram("serve.score").record(score_ns);
-        om_obs::metrics::histogram("serve.merge").record(merge_ns);
-        om_obs::live::histogram("serve.merge").record(merge_ns);
-        Ok(out)
+        timed_flush(
+            reqs,
+            || self.score_batch(reqs),
+            |rows| {
+                reqs.iter()
+                    .zip(&rows)
+                    .map(|(&req, scores)| self.respond(req, scores))
+                    .collect()
+            },
+        )
     }
 
     /// Per-request combined user feature rows, `[reqs.len(), user_dim]`:
@@ -447,7 +460,6 @@ impl ServeEngine {
     /// the same interaction state (`tests/online_update.rs`).
     pub fn apply_event(&self, ev: &UserEvent) -> Result<UpdateOutcome, ServeError> {
         om_obs::metrics::counter("serve.update.events").add(1);
-        om_obs::live::counter("serve.update.events").add(1);
         let seen = store_lock(&self.store).record(ev);
         if seen < self.opts.warm_after {
             return Ok(UpdateOutcome { user: ev.user, seen, graduated: false, generation: None });
@@ -463,7 +475,6 @@ impl ServeEngine {
         let live = pinned.arena();
         if row.len() != live.dim() {
             om_obs::metrics::counter("serve.update.errors").add(1);
-            om_obs::live::counter("serve.update.errors").add(1);
             return Err(ServeError::UpdateDim { arena: live.dim(), row: row.len() });
         }
         let shadow = live.with_row(ev.user, &row);
@@ -474,12 +485,9 @@ impl ServeEngine {
         let graduated = seen == self.opts.warm_after;
         if graduated {
             om_obs::metrics::counter("serve.graduations").add(1);
-            om_obs::live::counter("serve.graduations").add(1);
         }
         om_obs::metrics::counter("serve.update.swaps").add(1);
-        om_obs::live::counter("serve.update.swaps").add(1);
-        om_obs::metrics::gauge("serve.update.generation").set(generation as f64);
-        om_obs::live::gauge("serve.update.generation").set(generation);
+        om_obs::metrics::gauge("serve.update.generation").set(generation);
         om_obs::info!(
             "serve: user {} row re-encoded at {} interaction(s) → generation {}{}",
             ev.user.0,

@@ -48,12 +48,12 @@
 //! reply; the deltas feed the per-stage latency histograms
 //! `serve.queue_wait`, `serve.batch_wait` and `serve.e2e` (the engines
 //! record `serve.score` / `serve.merge` inside the flush), each recorded
-//! into **both** the run-scoped [`om_obs::metrics`] registry (for
-//! `events.jsonl` / `obs-report`) and the always-on [`om_obs::live`]
-//! plane (for `/metrics`). All tallies live in one set of shared atomics
-//! ([`StatsSnapshot`] via [`FrontendHandle::stats_snapshot`]), and the
-//! shutdown [`FrontendStats`] is derived from the *same* atomics, so the
-//! two views cannot disagree. Served, rejected and scorer-error events
+//! once into the [`om_obs::metrics`] registry, which `/metrics` scrapes
+//! and each run's `events.jsonl` windows. All per-front-end tallies live
+//! in one set of shared atomics ([`StatsSnapshot`] via
+//! [`FrontendHandle::stats_snapshot`]), and the shutdown
+//! [`FrontendStats`] is derived from the *same* atomics, so the two views
+//! cannot disagree. Served, rejected and scorer-error events
 //! also land in the [`om_obs::flightrec`] ring, which is dumped on a
 //! scorer error, on [`Frontend::shutdown`] with errors, and when the
 //! `scorer` kill point fires. None of this touches the scoring inputs:
@@ -326,37 +326,37 @@ impl FrontendLive {
     }
 }
 
-/// Cached handles into the process-global [`om_obs::live`] plane that
-/// mirrors the per-front-end tallies for `/metrics` (with several
-/// front-ends in one process — tests, mostly — the global series sum
-/// over them; [`StatsSnapshot`] stays per-front-end).
+/// Cached handles into the process-global [`om_obs::metrics`] registry
+/// that mirror the per-front-end tallies (with several front-ends in one
+/// process — tests, mostly — the global series sum over them;
+/// [`StatsSnapshot`] stays per-front-end).
 #[derive(Clone)]
 struct Mirror {
-    admitted: om_obs::live::LiveCounter,
-    served: om_obs::live::LiveCounter,
-    flushes: om_obs::live::LiveCounter,
-    rejected: om_obs::live::LiveCounter,
-    rejected_shutdown: om_obs::live::LiveCounter,
-    scorer_errors: om_obs::live::LiveCounter,
-    interactions: om_obs::live::LiveCounter,
-    in_flight: om_obs::live::LiveGauge,
-    queue_depth: om_obs::live::LiveGauge,
-    queue_hwm: om_obs::live::LiveGauge,
+    admitted: om_obs::metrics::Counter,
+    served: om_obs::metrics::Counter,
+    flushes: om_obs::metrics::Counter,
+    rejected: om_obs::metrics::Counter,
+    rejected_shutdown: om_obs::metrics::Counter,
+    scorer_errors: om_obs::metrics::Counter,
+    interactions: om_obs::metrics::Counter,
+    in_flight: om_obs::metrics::Gauge,
+    queue_depth: om_obs::metrics::Gauge,
+    queue_hwm: om_obs::metrics::Gauge,
 }
 
 impl Mirror {
     fn new() -> Mirror {
         Mirror {
-            admitted: om_obs::live::counter("serve.frontend.admitted"),
-            served: om_obs::live::counter("serve.frontend.served"),
-            flushes: om_obs::live::counter("serve.frontend.flushes"),
-            rejected: om_obs::live::counter("serve.frontend.rejected"),
-            rejected_shutdown: om_obs::live::counter("serve.frontend.rejected_shutdown"),
-            scorer_errors: om_obs::live::counter("serve.frontend.scorer_errors"),
-            interactions: om_obs::live::counter("serve.frontend.interactions"),
-            in_flight: om_obs::live::gauge("serve.frontend.in_flight"),
-            queue_depth: om_obs::live::gauge("serve.frontend.queue_depth"),
-            queue_hwm: om_obs::live::gauge("serve.frontend.queue_hwm"),
+            admitted: om_obs::metrics::counter("serve.frontend.admitted"),
+            served: om_obs::metrics::counter("serve.frontend.served"),
+            flushes: om_obs::metrics::counter("serve.frontend.flushes"),
+            rejected: om_obs::metrics::counter("serve.frontend.rejected"),
+            rejected_shutdown: om_obs::metrics::counter("serve.frontend.rejected_shutdown"),
+            scorer_errors: om_obs::metrics::counter("serve.frontend.scorer_errors"),
+            interactions: om_obs::metrics::counter("serve.frontend.interactions"),
+            in_flight: om_obs::metrics::gauge("serve.frontend.in_flight"),
+            queue_depth: om_obs::metrics::gauge("serve.frontend.queue_depth"),
+            queue_hwm: om_obs::metrics::gauge("serve.frontend.queue_hwm"),
         }
     }
 }
@@ -450,7 +450,6 @@ impl FrontendHandle {
                 self.mirror.queue_depth.dec();
                 self.live.rejected_full.fetch_add(1, Ordering::Relaxed);
                 self.mirror.rejected.add(1);
-                om_obs::metrics::counter("serve.frontend.rejected").add(1);
                 om_obs::flightrec::record(FlightRecord {
                     seq: 0,
                     req_id: req.id,
@@ -574,23 +573,15 @@ impl Frontend {
                 // All deadlines are relative to the process clock anchor,
                 // so the sanctioned monotonic clock suffices.
                 let now_us = || om_obs::clock::now_ns() / 1_000;
-                // Stage histograms, recorded into both planes: the live
-                // seqlock histograms feed `/metrics`, the run-scoped ones
-                // feed `events.jsonl` / `obs-report`.
-                let q_wait_live = om_obs::live::histogram("serve.queue_wait");
-                let q_wait_run = om_obs::metrics::histogram("serve.queue_wait");
-                let b_wait_live = om_obs::live::histogram("serve.batch_wait");
-                let b_wait_run = om_obs::metrics::histogram("serve.batch_wait");
-                let e2e_live = om_obs::live::histogram("serve.e2e");
-                let e2e_run = om_obs::metrics::histogram("serve.e2e");
+                let q_wait = om_obs::metrics::histogram("serve.queue_wait");
+                let b_wait = om_obs::metrics::histogram("serve.batch_wait");
+                let e2e_hist = om_obs::metrics::histogram("serve.e2e");
                 let flush = |reqs: Vec<Tracked>| {
                     // om-fault: kill-point
                     om_obs::fault::kill_point("scorer");
                     let close_ns = om_obs::clock::now_ns();
                     for t in &reqs {
-                        let wait = close_ns.saturating_sub(t.dequeue_ns);
-                        b_wait_live.record(wait);
-                        b_wait_run.record(wait);
+                        b_wait.record(close_ns.saturating_sub(t.dequeue_ns));
                     }
                     live.flushes.fetch_add(1, Ordering::Relaxed);
                     mirror.flushes.add(1);
@@ -606,8 +597,7 @@ impl Frontend {
                                 // shutdown stays orderly.
                                 let _ = responses.send(resp);
                                 let e2e = reply_ns.saturating_sub(t.admit_ns);
-                                e2e_live.record(e2e);
-                                e2e_run.record(e2e);
+                                e2e_hist.record(e2e);
                                 om_obs::flightrec::record(FlightRecord {
                                     seq: t.seq,
                                     req_id: t.req.id,
@@ -637,7 +627,6 @@ impl Frontend {
                                 "serve: front-end flush of {} request(s) failed: {err}",
                                 reqs.len()
                             );
-                            om_obs::metrics::counter("serve.frontend.scorer_errors").add(1);
                             let err_ns = om_obs::clock::now_ns();
                             let detail = err.to_string();
                             for t in &reqs {
@@ -668,9 +657,7 @@ impl Frontend {
                     t.dequeue_ns = om_obs::clock::now_ns();
                     live.queue_depth.fetch_sub(1, Ordering::Relaxed);
                     mirror.queue_depth.dec();
-                    let wait = t.dequeue_ns.saturating_sub(t.admit_ns);
-                    q_wait_live.record(wait);
-                    q_wait_run.record(wait);
+                    q_wait.record(t.dequeue_ns.saturating_sub(t.admit_ns));
                     t
                 };
                 // Apply one streamed interaction. Pending microbatch
@@ -748,8 +735,6 @@ impl Frontend {
                 if let Some(rest) = batcher.drain() {
                     flush(rest);
                 }
-                om_obs::metrics::counter("serve.frontend.served")
-                    .add(live.served.load(Ordering::Relaxed));
                 live.worker_alive.store(false, Ordering::Relaxed);
             })
             .map_err(|err| ServeError::WorkerSpawn(err.to_string()))?;

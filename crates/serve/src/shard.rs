@@ -28,7 +28,7 @@
 
 use om_data::types::UserId;
 
-use crate::engine::{Request, Response, ServeEngine};
+use crate::engine::{timed_flush, Request, Response, ServeEngine};
 use crate::error::ServeError;
 
 /// A [`ServeEngine`] that scores the catalogue shard by shard. Same
@@ -106,52 +106,39 @@ impl ShardedEngine {
     /// Serve a microbatch: per shard, the rating head and a bounded top-K
     /// per request; then one merge per request.
     pub fn serve_batch(&self, reqs: &[Request]) -> Result<Vec<Response>, ServeError> {
-        if reqs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let t0 = om_obs::clock::now_ns();
         let k = self.inner.opts.topk;
-        // Per-request candidate pools: ≤ k winners per shard, tagged with
-        // the global arena row so the merge's tie order matches the
-        // single-arena engine's.
-        let mut candidates: Vec<Vec<(f32, usize)>> = vec![Vec::new(); reqs.len()];
-        self.inner
-            .score_shards(reqs, self.shard_items, |b, base, stars| {
-                if let Some(pool) = candidates.get_mut(b) {
-                    pool.extend(
-                        om_metrics::top_k_indices(&stars, k)
+        timed_flush(
+            reqs,
+            || {
+                // Per-request candidate pools: ≤ k winners per shard,
+                // tagged with the global arena row so the merge's tie
+                // order matches the single-arena engine's.
+                let mut candidates: Vec<Vec<(f32, usize)>> = vec![Vec::new(); reqs.len()];
+                self.inner
+                    .score_shards(reqs, self.shard_items, |b, base, stars| {
+                        if let Some(pool) = candidates.get_mut(b) {
+                            pool.extend(
+                                om_metrics::top_k_indices(&stars, k)
+                                    .into_iter()
+                                    .filter_map(|i| stars.get(i).map(|&s| (s, base + i))),
+                            );
+                        }
+                    })?;
+                Ok(candidates)
+            },
+            |candidates| {
+                reqs.iter()
+                    .zip(candidates)
+                    .map(|(&req, pool)| {
+                        let top = om_metrics::merge_top_k(pool, k)
                             .into_iter()
-                            .filter_map(|i| stars.get(i).map(|&s| (s, base + i))),
-                    );
-                }
-            })?;
-
-        let t_scored = om_obs::clock::now_ns();
-        let out: Vec<Response> = reqs
-            .iter()
-            .zip(candidates)
-            .map(|(&req, pool)| {
-                let top = om_metrics::merge_top_k(pool, k)
-                    .into_iter()
-                    .map(|(score, i)| (self.inner.items.id_at(i), score))
-                    .collect();
-                Response { id: req.id, user: req.user, top }
-            })
-            .collect();
-        let t_merged = om_obs::clock::now_ns();
-        om_obs::metrics::counter("serve.shard.requests").add(reqs.len() as u64);
-        om_obs::metrics::counter("serve.shard.flushes").add(1);
-        om_obs::metrics::histogram("serve.shard.flush_ns").record(t_merged.saturating_sub(t0));
-        // Stage attribution (same series the single-arena engine feeds):
-        // score = the per-shard forwards + per-shard top-K, merge = the
-        // final per-request merge_top_k pass.
-        let score_ns = t_scored.saturating_sub(t0);
-        let merge_ns = t_merged.saturating_sub(t_scored);
-        om_obs::metrics::histogram("serve.score").record(score_ns);
-        om_obs::live::histogram("serve.score").record(score_ns);
-        om_obs::metrics::histogram("serve.merge").record(merge_ns);
-        om_obs::live::histogram("serve.merge").record(merge_ns);
-        Ok(out)
+                            .map(|(score, i)| (self.inner.items.id_at(i), score))
+                            .collect();
+                        Response { id: req.id, user: req.user, top }
+                    })
+                    .collect()
+            },
+        )
     }
 
     /// Expected-star scores of `user` against the whole arena, in arena

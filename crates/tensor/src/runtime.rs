@@ -60,6 +60,17 @@ fn obs() -> &'static ObsHandles {
     })
 }
 
+/// Count one pooled dispatch. Cold and out of line, like the GEMM
+/// counters: the seqlock histogram record stays out of every
+/// monomorphised `parallel_for`.
+#[cold]
+fn obs_dispatch(tasks: usize, chunk: usize) {
+    let h = obs();
+    h.dispatches.add(1);
+    h.tasks.add(tasks as u64);
+    h.grain.record(chunk as u64);
+}
+
 /// A unit of work shipped to the pool.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
@@ -216,10 +227,7 @@ where
     // bitwise identical with collection on or off.
     let _dispatch_span = om_obs::trace::span_if(obs_on, "runtime.parallel_for");
     if obs_on {
-        let h = obs();
-        h.dispatches.add(1);
-        h.tasks.add(tasks as u64);
-        h.grain.record(chunk as u64);
+        obs_dispatch(tasks, chunk);
     }
 
     let latch = Arc::new(Latch::new(tasks - 1));

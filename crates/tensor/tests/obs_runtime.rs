@@ -10,16 +10,11 @@ use std::collections::BTreeSet;
 
 use om_tensor::{kernels, runtime};
 
-fn counter(metrics: &[om_obs::metrics::MetricSnapshot], name: &str) -> u64 {
-    metrics
-        .iter()
-        .find_map(|m| match m {
-            om_obs::metrics::MetricSnapshot::Counter { name: n, value } if n == name => {
-                Some(*value)
-            }
-            _ => None,
-        })
-        .unwrap_or(0)
+fn counter(window: &om_obs::metrics::Snapshot, name: &str) -> u64 {
+    match window.metrics.get(name) {
+        Some(om_obs::metrics::MetricValue::Counter(value)) => *value,
+        _ => 0,
+    }
 }
 
 #[test]
@@ -27,7 +22,7 @@ fn dispatch_records_spans_and_busy_time() {
     let prev = runtime::set_threads(4);
     om_obs::set_enabled(true);
     let _ = om_obs::trace::drain(); // discard spans from earlier warm-up
-    let _ = om_obs::metrics::snapshot(); // reset counters
+    let before = om_obs::metrics::snapshot();
 
     let n = 1 << 20; // many REDUCE_CHUNKs → dispatches whenever threads > 1
     let x: Vec<f32> = (0..n).map(|i| (i % 17) as f32 * 0.25).collect();
@@ -37,7 +32,7 @@ fn dispatch_records_spans_and_busy_time() {
     om_obs::set_enabled(false);
     runtime::set_threads(prev);
     let threads = om_obs::trace::drain();
-    let metrics = om_obs::metrics::snapshot();
+    let metrics = om_obs::metrics::snapshot().since(&before);
 
     // Instrumentation is result-neutral (and the sum is bit-exact anyway).
     assert_eq!(got.to_bits(), expected.to_bits());
