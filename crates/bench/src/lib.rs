@@ -1,16 +1,15 @@
 //! # om-bench
 //!
-//! Criterion benchmarks for the OmniMatch reproduction:
+//! Benchmark harnesses for the OmniMatch reproduction, each writing a
+//! `BENCH_*.json` report (median/p95/mean per row) that `bench_gate`
+//! compares against `bench/baselines/`:
 //!
-//! * `algorithm1` — auxiliary-document generation throughput across corpus
-//!   sizes, demonstrating the `O(N·M + L·M·Q)` claim of §4.1;
-//! * `extractors` — TextCNN vs transformer forward/backward cost (the
-//!   performance side of the Table 5 `OmniMatch-BERT` comparison);
-//! * `losses` — supervised contrastive loss scaling in batch size, and the
-//!   GRL's (absence of) overhead;
-//! * `training` — per-epoch cost with DA/SCL toggled (Table 6's
-//!   mechanism);
-//! * `baselines` — substrate costs (MF fit, graph propagation epochs).
+//! * `bench_json` — kernels, nn layers and losses (`BENCH_kernels.json`);
+//!   training, Algorithm 1's `O(N·M + L·M·Q)` sweeps (§4.1), the Table 6
+//!   module toggles and the baseline fits (`BENCH_train.json`);
+//! * `serve_bench` — a replayed serving trace (`BENCH_serve.json`);
+//! * `load_bench` — the Zipfian open- and closed-loop load harness
+//!   (`BENCH_serve_load.json`).
 
 pub mod replay;
 
@@ -20,16 +19,5 @@ use om_data::split::CrossDomainScenario;
 /// A small scenario reused across benches (deterministic).
 pub fn bench_scenario() -> CrossDomainScenario {
     let world = SynthWorld::generate(SynthConfig::tiny(), &["Books", "Movies"]);
-    world.scenario("Books", "Movies", SplitConfig::default())
-}
-
-/// A medium scenario for Table 6-style timing.
-pub fn bench_scenario_medium() -> CrossDomainScenario {
-    let cfg = SynthConfig {
-        n_users: 120,
-        n_items: 60,
-        ..SynthConfig::tiny()
-    };
-    let world = SynthWorld::generate(cfg, &["Books", "Movies"]);
     world.scenario("Books", "Movies", SplitConfig::default())
 }

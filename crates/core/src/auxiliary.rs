@@ -9,8 +9,8 @@
 //!
 //! With the two preprocessed dictionaries held by [`om_data::Domain`], every
 //! lookup is O(1), so the whole pass is `O(N·M + L·M·Q)` as analysed in
-//! §4.1 — the Criterion bench `algorithm1` in `om-bench` demonstrates this
-//! empirically.
+//! §4.1 — the `algorithm1/*` rows of om-bench's `bench_json` demonstrate
+//! this empirically.
 
 use std::collections::BTreeSet;
 

@@ -1,5 +1,5 @@
-//! CI smoke test for online cold→warm graduation: train a tiny model,
-//! serve it, stream target-domain interactions, and assert:
+//! `om-smoke online`: train, checkpoint, serve, stream target-domain
+//! interactions, and assert:
 //!
 //! * streaming `warm_after` interactions graduates a cold user — the
 //!   engine flips `is_warm`, the generation number advances, and
@@ -16,26 +16,21 @@
 //! Chaos variant: with `OM_FAULT=swap:1` the process is killed at the
 //! `swap` kill point — after the first shadow arena is built, *before*
 //! its generation is installed. The `pre-swap generation 0` marker line
-//! is on stdout by then and no `post-swap` line ever is, which is how CI
-//! proves a killed swap leaves the old generation serving.
-//!
-//! Observability is force-enabled; the run's artifact directory is the
-//! last stdout line (CI uploads it as a build artifact).
-//!
-//! Usage: `online_smoke [checkpoint_path]` (default `online_smoke.omck`).
+//! is on stdout by then and no `post-swap` line ever is, which is how
+//! `tests/online_chaos.rs` proves a killed swap leaves the old generation
+//! serving.
 
 use om_data::types::UserId;
-use om_data::{SplitConfig, SynthConfig, SynthWorld};
+use om_data::CrossDomainScenario;
 use om_serve::{
-    load_model_file, Frontend, FrontendOptions, ItemArena, Request, ServeEngine, ServeOptions,
-    UserArena, UserEvent,
+    Frontend, FrontendOptions, ItemArena, Request, ServeEngine, ServeOptions, UserArena, UserEvent,
 };
-use om_tensor::seeded_rng;
-use omnimatch_core::{CorpusViews, OmniMatchConfig, Trainer};
+
+use crate::Fixture;
 
 /// Streamed events for `user`: its held-back target-domain reviews, in
 /// corpus order (exactly what production would see arriving live).
-fn events_for(scenario: &om_data::CrossDomainScenario, user: UserId) -> Vec<UserEvent> {
+fn events_for(scenario: &CrossDomainScenario, user: UserId) -> Vec<UserEvent> {
     scenario
         .target_full
         .user_records(user)
@@ -48,25 +43,12 @@ fn events_for(scenario: &om_data::CrossDomainScenario, user: UserId) -> Vec<User
         .collect()
 }
 
-fn main() {
-    om_obs::set_enabled(true);
-    assert!(om_obs::run_begin("online_smoke"), "online_smoke must own the run");
-    let ckpt_path = std::env::args()
-        .nth(1)
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::path::PathBuf::from("online_smoke.omck"));
-
-    // ---- train + export -------------------------------------------------
-    let world = SynthWorld::generate(SynthConfig::tiny(), &["Books", "Movies"]);
-    let scenario = world.scenario("Books", "Movies", SplitConfig::default());
-    let cfg = OmniMatchConfig::fast().with_seed(7);
-    let trained = Trainer::new(cfg.clone()).fit(&scenario);
-    trained.write_checkpoint(&ckpt_path).expect("write checkpoint");
-    let vocab_size = trained.views().vocab.len();
-    drop(trained);
-
+pub fn run() {
+    let fx = Fixture::train("om-smoke-online");
+    let ckpt = fx.checkpoint();
+    let scenario = &fx.scenario;
     let opts = ServeOptions { warm_after: 3, ..ServeOptions::default() };
-    let warm = scenario.train_users.clone();
+    let warm = &scenario.train_users;
 
     // Cold users with enough held-back target reviews to graduate.
     let mut cold: Vec<UserId> = scenario.valid_users.clone();
@@ -74,16 +56,14 @@ fn main() {
     let streamers: Vec<UserId> = cold
         .iter()
         .copied()
-        .filter(|&u| events_for(&scenario, u).len() >= opts.warm_after)
+        .filter(|&u| events_for(scenario, u).len() >= opts.warm_after)
         .take(3)
         .collect();
     assert!(!streamers.is_empty(), "tiny world produced no streamable cold user");
 
     // ---- live engine: stream events, graduate, hot-swap -----------------
-    let model = load_model_file(&cfg, vocab_size, &ckpt_path).expect("reload checkpoint");
-    let views = CorpusViews::build(&scenario, &cfg, &mut seeded_rng(cfg.seed));
-    let engine = ServeEngine::new(model, views, &warm, opts.clone());
-    println!("online-smoke: pre-swap generation {}", engine.user_generation());
+    let engine = ckpt.engine(opts.clone());
+    println!("om-smoke online: pre-swap generation {}", engine.user_generation());
     assert_eq!(engine.user_generation(), 0);
 
     let mut graduated = Vec::new();
@@ -91,7 +71,7 @@ fn main() {
         assert!(!engine.is_warm(u), "cold user {u:?} must start cold");
         // Serve mid-stream so swaps land under traffic.
         let _ = engine.score_user(u).expect("cold score");
-        for (i, ev) in events_for(&scenario, u).into_iter().enumerate() {
+        for (i, ev) in events_for(scenario, u).into_iter().enumerate() {
             let outcome = engine.apply_event(&ev).expect("apply event");
             assert_eq!(outcome.seen, i + 1);
             assert_eq!(outcome.graduated, i + 1 == opts.warm_after);
@@ -102,7 +82,7 @@ fn main() {
         graduated.push(u);
     }
     let generation = engine.user_generation();
-    println!("online-smoke: post-swap generation {generation}");
+    println!("om-smoke online: post-swap generation {generation}");
     assert!(generation > 0, "no generation swap happened");
     let graduations = om_obs::metrics::counter("serve.graduations").get();
     assert_eq!(graduations, graduated.len() as u64, "graduations counter drifted");
@@ -113,17 +93,14 @@ fn main() {
     // training-time target documents, graduated users' rows from their
     // accumulated live texts — both through the same public encode path
     // the online update uses. Post-swap live scores must match bitwise.
-    let model2 = load_model_file(&cfg, vocab_size, &ckpt_path).expect("reload checkpoint");
-    let views2 = CorpusViews::build(&scenario, &cfg, &mut seeded_rng(cfg.seed));
+    let (model2, views2) = ckpt.reload();
     let dim = engine.pin_users().arena().dim();
     let mut ids: Vec<UserId> = Vec::new();
     let mut rows: Vec<f32> = Vec::new();
     for &u in engine.pin_users().arena().ids() {
         let doc: Vec<usize> = if graduated.contains(&u) {
-            let texts: Vec<String> = events_for(&scenario, u)
-                .into_iter()
-                .map(|ev| ev.text)
-                .collect();
+            let texts: Vec<String> =
+                events_for(scenario, u).into_iter().map(|ev| ev.text).collect();
             let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
             views2.encode_reviews(&refs)
         } else {
@@ -150,34 +127,22 @@ fn main() {
         }
     }
     println!(
-        "online-smoke: post-swap scores equal the cold rebuild bitwise over {} users",
+        "om-smoke online: post-swap scores equal the cold rebuild bitwise over {} users",
         checked.len()
     );
 
     // ---- threaded front-end: events interleaved with requests ----------
     let fopts = FrontendOptions::from_serve(&opts).expect("frontend options");
     let (resp_tx, resp_rx) = std::sync::mpsc::channel();
-    let f_cfg = cfg.clone();
-    let f_scenario = scenario.clone();
-    let f_ckpt = ckpt_path.clone();
-    let f_opts = opts.clone();
+    let factory = ckpt.clone();
     // om-lint: allow(thread-spawn) — the threaded front-end under test.
-    let frontend = Frontend::spawn(
-        move || {
-            let model = load_model_file(&f_cfg, vocab_size, &f_ckpt).expect("reload in worker");
-            let views = CorpusViews::build(&f_scenario, &f_cfg, &mut seeded_rng(f_cfg.seed));
-            let warm = f_scenario.train_users.clone();
-            ServeEngine::new(model, views, &warm, f_opts)
-        },
-        fopts,
-        resp_tx,
-    )
-    .expect("spawn front-end");
+    let frontend = Frontend::spawn(move || factory.engine(opts), fopts, resp_tx)
+        .expect("spawn front-end");
     let handle = frontend.handle();
     let streamer = streamers[0];
     let mut admitted = 0u64;
     let mut interactions = 0u64;
-    for (i, ev) in events_for(&scenario, streamer).into_iter().enumerate() {
+    for (i, ev) in events_for(scenario, streamer).into_iter().enumerate() {
         loop {
             match handle.try_send(Request { id: i as u64, user: streamer, arrive_us: 0 }) {
                 Ok(()) => break,
@@ -204,7 +169,7 @@ fn main() {
     assert!(snap.swaps >= 1, "front-end streaming swapped no generation");
     assert_eq!(snap.update_errors, 0);
     println!(
-        "online-smoke: front-end served {} requests, {} interactions, {} graduation(s), {} swap(s)",
+        "om-smoke online: front-end served {} requests, {} interactions, {} graduation(s), {} swap(s)",
         snap.served, snap.interactions, snap.graduations, snap.swaps
     );
 
@@ -214,8 +179,5 @@ fn main() {
         assert!(statz.contains(series), "{series} missing from /statz");
     }
     om_obs::manifest_set("serve.online_ok", true.into());
-
-    let dir = om_obs::run_finish().expect("run artifacts written");
-    // Machine-readable: CI captures this line to locate the artifact.
-    println!("{}", dir.display());
+    fx.finish(|_| ());
 }

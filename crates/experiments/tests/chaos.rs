@@ -1,67 +1,40 @@
-//! Kill-and-resume chaos test: run the `chaos_smoke` binary to completion,
-//! kill a second copy mid-checkpoint-write with `OM_FAULT`, resume it from
-//! the surviving checkpoints, and require the resumed run's final parameter
+//! Kill-and-resume chaos test: run `om-smoke train` to completion, kill a
+//! second copy mid-checkpoint-write with `OM_FAULT`, resume it from the
+//! surviving checkpoints, and require the resumed run's final parameter
 //! bytes to be **bitwise identical** to the uninterrupted run's.
-//!
-//! Fault injection and checkpointing are configured purely through each
-//! child's environment, so this test never mutates its own process env and
-//! is safe under the parallel test runner.
 
-use std::path::{Path, PathBuf};
-use std::process::Command;
+mod common;
 
-fn bin() -> &'static str {
-    env!("CARGO_BIN_EXE_chaos_smoke")
-}
+use std::path::Path;
 
-fn tmp_root() -> PathBuf {
-    let d = std::env::temp_dir().join(format!("om-chaos-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    std::fs::create_dir_all(&d).unwrap();
-    d
-}
+use common::{assert_only_results_left, find_files, om_smoke, tmp_root};
 
-/// Recursively collect leftover `*.tmp` files (torn checkpoint writes).
-fn tmp_strays(dir: &Path) -> Vec<PathBuf> {
-    let mut found = Vec::new();
-    let mut stack = vec![dir.to_path_buf()];
-    while let Some(d) = stack.pop() {
-        let Ok(entries) = std::fs::read_dir(&d) else {
-            continue;
-        };
-        for e in entries.flatten() {
-            let p = e.path();
-            if p.is_dir() {
-                stack.push(p);
-            } else if p.extension().is_some_and(|x| x == "tmp") {
-                found.push(p);
-            }
-        }
-    }
-    found
+/// Leftover `*.tmp` files (torn checkpoint writes) under `dir`.
+fn tmp_strays(dir: &Path) -> Vec<std::path::PathBuf> {
+    find_files(dir, |p| p.extension().is_some_and(|x| x == "tmp"))
 }
 
 #[test]
 fn killed_and_resumed_run_matches_clean_run_bitwise() {
-    let root = tmp_root();
+    let root = tmp_root("chaos");
     let ckpt_dir = root.join("ckpt");
     let clean_blob = root.join("clean.params");
+    let faulted_blob = root.join("faulted.params");
     let resumed_blob = root.join("resumed.params");
+    let train = |cwd: &str, out: &Path| om_smoke(&root, cwd, &["train", out.to_str().unwrap()]);
 
-    // 1. Clean reference run: no checkpointing, no faults.
-    let status = Command::new(bin())
-        .arg(&clean_blob)
-        .env_remove("OM_CKPT")
-        .env_remove("OM_FAULT")
+    // 1. Clean reference run: no checkpointing, no faults. It leaves only
+    //    `results/` behind.
+    let status = train("clean", &clean_blob)
         .status()
         .expect("spawn clean run");
     assert!(status.success(), "clean run failed: {status:?}");
+    assert_only_results_left(&root, "clean");
 
     // 2. Faulted run: checkpoint every epoch, die on the 2nd checkpoint
     //    save — after the tmp file is written and fsynced, before the
     //    rename. The first epoch's checkpoint survives; the second is torn.
-    let status = Command::new(bin())
-        .arg(root.join("faulted.params"))
+    let status = train("faulted", &faulted_blob)
         .env("OM_CKPT", "1")
         .env("OM_CKPT_DIR", &ckpt_dir)
         .env("OM_FAULT", "ckpt-save:2")
@@ -73,7 +46,7 @@ fn killed_and_resumed_run_matches_clean_run_bitwise() {
         "faulted run must die with the fault-injection exit code"
     );
     assert!(
-        !root.join("faulted.params").exists(),
+        !faulted_blob.exists(),
         "a killed run must not produce output"
     );
     assert!(
@@ -83,11 +56,9 @@ fn killed_and_resumed_run_matches_clean_run_bitwise() {
 
     // 3. Resume: same checkpoint directory, fault disarmed. Training picks
     //    up from the surviving epoch-0 checkpoint and runs to completion.
-    let status = Command::new(bin())
-        .arg(&resumed_blob)
+    let status = train("resumed", &resumed_blob)
         .env("OM_CKPT", "1")
         .env("OM_CKPT_DIR", &ckpt_dir)
-        .env_remove("OM_FAULT")
         .status()
         .expect("spawn resumed run");
     assert!(status.success(), "resumed run failed: {status:?}");

@@ -1,59 +1,30 @@
 //! Chaos coverage for the serving telemetry plane, from the outside: run
-//! the `serve_obs_smoke` binary as a child process and assert
+//! `om-smoke serve` as a child process and assert
 //!
-//! * a clean run exits 0 and leaves the scraped `/metrics` body (with all
-//!   five per-request stage histograms) in its artifact directory;
+//! * a clean run exits 0, leaves the scraped `/metrics` body (with all
+//!   five per-request stage histograms) in its artifact directory, and
+//!   leaves nothing but `results/` in its working directory;
 //! * a run killed by `OM_FAULT=scorer:2` — the injected fault on the
-//!   second microbatch flush — exits with the fault code and dumps a
-//!   parseable `flightrec.jsonl` postmortem holding the requests the
-//!   first flush served.
-//!
-//! Fault injection is configured purely through the child's environment,
-//! so this test never mutates its own process env and is safe under the
-//! parallel test runner. Each child gets its own working directory, so
-//! their `results/` trees cannot collide.
+//!   front-end's second microbatch flush — exits with the fault code and
+//!   dumps a parseable `flightrec.jsonl` postmortem holding the requests
+//!   the first flush served.
+
+mod common;
 
 use std::path::{Path, PathBuf};
-use std::process::Command;
 
-fn bin() -> &'static str {
-    env!("CARGO_BIN_EXE_serve_obs_smoke")
-}
+use common::{assert_only_results_left, find_files, om_smoke, tmp_root};
 
-fn tmp_root(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("om-obs-chaos-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    std::fs::create_dir_all(&d).unwrap();
-    d
-}
-
-/// Recursively find `name` under `dir`.
+/// The one file named `name` under `dir`, if any.
 fn find_file(dir: &Path, name: &str) -> Option<PathBuf> {
-    let mut stack = vec![dir.to_path_buf()];
-    while let Some(d) = stack.pop() {
-        let Ok(entries) = std::fs::read_dir(&d) else {
-            continue;
-        };
-        for e in entries.flatten() {
-            let p = e.path();
-            if p.is_dir() {
-                stack.push(p);
-            } else if p.file_name().is_some_and(|f| f == name) {
-                return Some(p);
-            }
-        }
-    }
-    None
+    find_files(dir, |p| p.file_name().is_some_and(|f| f == name)).pop()
 }
 
 #[test]
 fn clean_smoke_exits_zero_and_archives_the_scrape() {
-    let root = tmp_root("clean");
-    let out = Command::new(bin())
-        .arg(root.join("smoke.omck"))
-        .current_dir(&root)
+    let root = tmp_root("obs-clean");
+    let out = om_smoke(&root, "cwd", &["serve"])
         .env("OM_OBS_ADDR", "127.0.0.1:0")
-        .env_remove("OM_FAULT")
         .output()
         .expect("spawn clean smoke");
     assert!(
@@ -66,7 +37,7 @@ fn clean_smoke_exits_zero_and_archives_the_scrape() {
     // child's working directory.
     let stdout = String::from_utf8_lossy(&out.stdout);
     let rel = stdout.lines().last().expect("smoke prints its artifact dir");
-    let dir = root.join(rel);
+    let dir = root.join("cwd").join(rel);
     let metrics = std::fs::read_to_string(dir.join("metrics.txt")).expect("archived scrape");
     for hist in
         ["serve_queue_wait", "serve_batch_wait", "serve_score", "serve_merge", "serve_e2e"]
@@ -82,15 +53,14 @@ fn clean_smoke_exits_zero_and_archives_the_scrape() {
         find_file(&dir, "flightrec.jsonl").is_none(),
         "a clean run must not leave a postmortem"
     );
+    assert_only_results_left(&root, "cwd");
     let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]
 fn faulted_smoke_exits_86_and_dumps_the_flight_recorder() {
-    let root = tmp_root("fault");
-    let status = Command::new(bin())
-        .arg(root.join("smoke.omck"))
-        .current_dir(&root)
+    let root = tmp_root("obs-fault");
+    let status = om_smoke(&root, "cwd", &["serve"])
         .env("OM_OBS_ADDR", "127.0.0.1:0")
         // The 2nd flush dies, so the 1st flush's served records are in
         // the ring when the postmortem is written.

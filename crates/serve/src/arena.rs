@@ -65,7 +65,7 @@ impl QBytes {
 }
 
 /// An arena's payload: the exact f32 rows of the tower precompute, or
-/// the int8-per-row-scale serving quantization of them (`--quantized`,
+/// the int8-per-row-scale serving quantization of them (`ItemArena::quantized`,
 /// see [`crate::quant`]). Training and checkpoints never see `Q8`; the
 /// scoring paths read both through [`ItemArena::rows_f32`] /
 /// [`UserArena::copy_row_into`], which dequantize on the fly.

@@ -1,8 +1,8 @@
 //! int8 per-row-scale quantization for serving arenas.
 //!
 //! Training and checkpoints stay exact f32 — quantization is a *serving*
-//! representation only, applied when an arena is built or loaded with
-//! `--quantized`. Each `[dim]` feature row stores one f32 scale plus
+//! representation only, applied when an arena is built (`ItemArena::quantized`)
+//! or loaded from an `OMAB` v2 blob. Each `[dim]` row stores one f32 scale plus
 //! `dim` int8 codes:
 //!
 //! ```text
@@ -18,9 +18,9 @@
 //! rounded multiply), so the scalar and AVX2 `dequant_rows` paths are
 //! bitwise identical and the sharded quantized engine matches the
 //! unsharded quantized engine bit for bit. What quantization *does* move
-//! is the score itself relative to the f32 engine; `serve_smoke
-//! --quantized` and `tests/quant_diff.rs` hold that drift under the
-//! committed bounds below.
+//! is the score itself relative to the f32 engine; `om-smoke serve` and
+//! `tests/quant_diff.rs` hold that drift under the committed bounds
+//! below.
 
 /// Committed bound on RMSE of expected-star scores, quantized engine vs.
 /// the f32 engine, over a full users × items score matrix. Measured
