@@ -107,7 +107,7 @@ fn gated_kernel_rows() -> Vec<Json> {
         black_box(seq.unfold_windows(3));
     }));
 
-    // The serving score path: the rating head a `ShardedEngine` flush runs
+    // The serving score path: the rating head a `ServeEngine` flush runs
     // for a microbatch against one item shard — each request's layer-1
     // user partial, then layer 1 resumed over the item rows, bias, ReLU
     // and layer 2, up to the logits (8 requests × 2048 items, fast-config

@@ -1,7 +1,7 @@
 //! Million-scale serving load harness: synthesizes a large warm-user /
 //! item catalogue from an `om_data` arena preset, persists it through the
-//! blob → mmap path, scores it with the sharded engine, and writes
-//! `BENCH_serve_load.json`.
+//! blob → mmap path, scores it with the engine (shard width `--shard`),
+//! and writes `BENCH_serve_load.json`.
 //!
 //! Two load shapes run against the same catalogue:
 //!
@@ -37,7 +37,7 @@ use om_data::ArenaPreset;
 use om_obs::json::Json;
 use om_serve::{
     load_model, Frontend, FrontendOptions, ItemArena, Request, ServeEngine, ServeOptions,
-    ShardedEngine, UserArena, Verify,
+    UserArena, Verify,
 };
 use om_tensor::seeded_rng;
 use omnimatch_core::{CorpusViews, OmniMatchConfig, Trainer};
@@ -173,14 +173,8 @@ fn main() {
          map {cold_start_ms:.2} ms"
     );
 
-    let engine = ShardedEngine::new(ServeEngine::with_arenas(
-        model,
-        views,
-        items,
-        users,
-        f.opts.clone(),
-    ));
-    let shards = engine.shard_count();
+    let engine = ServeEngine::with_arenas(model, views, items, users, f.opts.clone());
+    let shards = preset.items.div_ceil(f.opts.shard_items).max(1);
 
     // ---- Zipfian trace ---------------------------------------------------
     let n_users = preset.users;
@@ -240,7 +234,7 @@ fn main() {
                     ItemArena::load_blob(&item_path2, Verify::Quick).expect("map item blob");
                 let users =
                     UserArena::load_blob(&user_path2, Verify::Quick).expect("map user blob");
-                ShardedEngine::new(ServeEngine::with_arenas(model, views, items, users, opts))
+                ServeEngine::with_arenas(model, views, items, users, opts)
             },
             fopts,
             tx,
@@ -290,7 +284,7 @@ fn main() {
             stats.served,
             pct(0.50),
             pct(0.99),
-            stats.rejected
+            stats.rejected_full
         );
         let mut closed = BTreeMap::new();
         closed.insert("qps".to_string(), Json::Num(closed_qps));
@@ -298,7 +292,7 @@ fn main() {
         closed.insert("p99_ms".to_string(), Json::Num(pct(0.99)));
         closed.insert("inflight".to_string(), Json::Num(f.inflight as f64));
         closed.insert("queue_cap".to_string(), Json::Num(f.queue_cap as f64));
-        closed.insert("rejected".to_string(), Json::Num(stats.rejected as f64));
+        closed.insert("rejected".to_string(), Json::Num(stats.rejected_full as f64));
         closed.insert("flushes".to_string(), Json::Num(stats.flushes as f64));
         load.insert("closed".to_string(), Json::Obj(closed));
     }

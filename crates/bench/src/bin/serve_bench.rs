@@ -3,8 +3,9 @@
 //!
 //! Trace construction, the virtual-clock replay loop, and the summary
 //! schema live in `om_bench::replay`, shared with `load_bench` (the
-//! million-user sharded variant); this binary keeps the small-catalogue
-//! single-arena measurement the committed baseline tracks. The reported
+//! million-user variant, many shards per flush); this binary keeps the
+//! small-catalogue measurement the committed baseline tracks, whose
+//! whole catalogue fits in one shard at the default width. The reported
 //! latency percentiles and the `bench_json`-schema summaries that
 //! `bench_gate` compares read the same exact f64 samples.
 //!

@@ -1,10 +1,11 @@
 //! Shared trace-replay machinery for the serving benchmarks.
 //!
-//! `serve_bench` (small catalogue, single-arena engine) and `load_bench`
-//! (million-user sharded engine) measure the same thing — microbatched
-//! scoring under a synthetic arrival trace — so the trace construction,
-//! the virtual-clock replay loop, and the `bench_json`-schema summaries
-//! live here once and both binaries call them.
+//! `serve_bench` (small catalogue, one shard) and `load_bench`
+//! (million-user catalogue, many shards) measure the same thing —
+//! microbatched scoring under a synthetic arrival trace — so the trace
+//! construction, the virtual-clock replay loop, and the
+//! `bench_json`-schema summaries live here once and both binaries call
+//! them.
 //!
 //! The replay is *open-loop* and virtually clocked: arrivals follow the
 //! trace's deterministic timestamps (they never wait for responses), the

@@ -12,14 +12,17 @@
 //!    front-end's second flush with the first flush's requests in the
 //!    flight recorder.
 //! 2. **Engine parity.** The engine's scores are bitwise identical to
-//!    `TrainedOmniMatch::predict`; the sharded top-K equals a naive
-//!    full-sort oracle for every scenario user; a microbatched replay
-//!    returns the same responses as unbatched serving.
+//!    `TrainedOmniMatch::predict`; at a shard width that splits the
+//!    catalogue ([`SPLIT_SHARD`]), the top-K equals the one-shard engine's
+//!    and the naive full-sort oracle's for every scenario user; a
+//!    microbatched replay returns the same responses as unbatched
+//!    serving.
 //! 3. **Quantized arenas.** int8 per-row-scale arenas for the same
 //!    checkpoint, the item arena round-tripped through an `OMAB` v2 blob:
 //!    the score drift vs. the f32 engine stays under the committed
 //!    `om_serve::quant::QUANT_MAX_SCORE_{RMSE,MAE,ABS}` bounds, and the
-//!    sharded quantized engine is bitwise identical to the unsharded one.
+//!    quantized engine at [`SPLIT_SHARD`] is bitwise identical to the
+//!    one-shard quantized engine.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -30,10 +33,16 @@ use om_data::UserId;
 use om_obs::http::StatsServer;
 use om_serve::{
     Frontend, FrontendOptions, ItemArena, Microbatcher, Request, ServeEngine, ServeOptions,
-    ShardedEngine, UserArena, Verify,
+    UserArena, Verify,
 };
 
 use crate::{Checkpoint, Fixture};
+
+/// Item rows per shard for the sharding checks: narrow enough to split
+/// the smoke catalogue into several shards, so the per-shard top-K and
+/// the merge are what gets compared (the default width holds the whole
+/// catalogue in one shard).
+const SPLIT_SHARD: usize = 8;
 
 pub fn run() {
     let fx = Fixture::train("om-smoke-serve");
@@ -43,7 +52,12 @@ pub fn run() {
     let scrape = frontend_scrape(&ckpt, &users);
     let engine = ckpt.engine(ServeOptions::default());
     om_obs::manifest_set("serve.catalogue", (engine.catalogue_len() as u64).into());
-    engine_parity(&fx, &engine, &users);
+    assert!(
+        engine.catalogue_len() > SPLIT_SHARD,
+        "a {SPLIT_SHARD}-row shard must split the {}-item catalogue",
+        engine.catalogue_len()
+    );
+    engine_parity(&fx, &ckpt, &engine, &users);
     quantized(&ckpt, &engine, &users);
     om_obs::manifest_set("serve.smoke_ok", true.into());
     fx.finish(|dir| {
@@ -149,10 +163,12 @@ fn frontend_scrape(ckpt: &Checkpoint, users: &[UserId]) -> [String; 3] {
         "/statz served counter must read {sent}"
     );
 
-    // The live snapshot and the shutdown stats read the same atomics.
+    // The live snapshot and the final one shutdown returns read the same
+    // atomics; with every request served, the tallies cannot move.
     let snap = fe.stats_snapshot();
     let stats = fe.shutdown().expect("shutdown front-end");
-    assert_eq!(snap.stats(), stats, "snapshot and shutdown stats diverged");
+    let tallies = |s: &om_serve::StatsSnapshot| (s.served, s.flushes, s.rejected_full, s.scorer_errors);
+    assert_eq!(tallies(&snap), tallies(&stats), "snapshot and shutdown stats diverged");
     assert_eq!(stats.served, sent);
     assert_eq!(stats.scorer_errors, 0);
     assert_eq!(resp_rx.iter().count() as u64, sent, "every request got a response");
@@ -165,7 +181,7 @@ fn frontend_scrape(ckpt: &Checkpoint, users: &[UserId]) -> [String; 3] {
 }
 
 /// Phase 2: the reloaded engine against the training-side code path.
-fn engine_parity(fx: &Fixture, engine: &ServeEngine, users: &[UserId]) {
+fn engine_parity(fx: &Fixture, ckpt: &Checkpoint, engine: &ServeEngine, users: &[UserId]) {
     let items = fx.trained.views().items();
 
     // ---- engine scores == trainer predict, bitwise ----------------------
@@ -184,20 +200,27 @@ fn engine_parity(fx: &Fixture, engine: &ServeEngine, users: &[UserId]) {
     }
     om_obs::info!("serve smoke: scores match predict bitwise over {} users", users.len());
 
-    // ---- sharded top-K == full-sort oracle ------------------------------
+    // ---- sharded top-K == one-shard top-K == full-sort oracle ----------
+    let sharded = ckpt.engine(ServeOptions { shard_items: SPLIT_SHARD, ..ServeOptions::default() });
     let k = engine.options().topk;
     for &u in users {
+        let req = Request { id: 0, user: u, arrive_us: 0 };
         let oracle = engine.oracle_rank(u).expect("oracle rank");
-        let resp = engine
-            .serve_one(Request { id: 0, user: u, arrive_us: 0 })
-            .expect("serve one");
+        let one_shard = engine.serve_one(req).expect("serve one (one shard)");
+        let resp = sharded.serve_one(req).expect("serve one (sharded)");
         assert_eq!(resp.top.len(), k.min(oracle.len()));
-        for ((ia, sa), (ib, sb)) in resp.top.iter().zip(&oracle) {
+        assert_eq!(one_shard.top.len(), resp.top.len());
+        for (((ia, sa), (ib, sb)), (ic, sc)) in resp.top.iter().zip(&oracle).zip(&one_shard.top) {
             assert_eq!(ia, ib, "sharded top-K diverged from the oracle for {u:?}");
             assert_eq!(sa.to_bits(), sb.to_bits());
+            assert_eq!(ia, ic, "sharded top-K diverged from the one-shard engine for {u:?}");
+            assert_eq!(sa.to_bits(), sc.to_bits());
         }
     }
-    om_obs::info!("serve smoke: sharded top-K equals the full-sort oracle");
+    om_obs::info!(
+        "serve smoke: top-K at {SPLIT_SHARD}-row shards equals the one-shard engine and the \
+         full-sort oracle"
+    );
 
     // ---- microbatched replay == unbatched serving -----------------------
     let opts = engine.options().clone();
@@ -239,18 +262,21 @@ fn quantized(ckpt: &Checkpoint, engine: &ServeEngine, users: &[UserId]) {
     let user_arena =
         UserArena::build(&qmodel, &qviews, &ckpt.scenario.train_users, opts.arena_batch);
     let qitems = item_arena.quantized();
-    let qusers = user_arena.quantized();
-    assert!(qitems.is_quantized() && qusers.is_quantized());
+    assert!(qitems.is_quantized() && user_arena.quantized().is_quantized());
 
     // Round-trip the quantized item arena through an OMAB v2 blob so the
     // smoke exercises the on-disk quantized path too.
     let blob_path = ckpt.path.with_extension("q8.omab");
     qitems.write_blob(&blob_path).expect("write quantized blob");
-    let qitems = ItemArena::load_blob(&blob_path, Verify::Full).expect("load quantized blob");
-    assert!(qitems.is_quantized(), "v2 blob must reload as a quantized arena");
-
-    let qengine = ServeEngine::with_arenas(qmodel, qviews, qitems, qusers, opts);
-    let qsharded = ShardedEngine::new(qengine);
+    // One quantized engine per shard width, both over the reloaded blob.
+    let qengine = |shard_items: usize| {
+        let (model, views) = ckpt.reload();
+        let qitems = ItemArena::load_blob(&blob_path, Verify::Full).expect("load quantized blob");
+        assert!(qitems.is_quantized(), "v2 blob must reload as a quantized arena");
+        let opts = ServeOptions { shard_items, ..opts.clone() };
+        ServeEngine::with_arenas(model, views, qitems, user_arena.quantized(), opts)
+    };
+    let (qengine, qsharded) = (qengine(opts.shard_items), qengine(SPLIT_SHARD));
 
     let mut sum_sq = 0.0f64;
     let mut sum_abs = 0.0f64;
@@ -258,7 +284,7 @@ fn quantized(ckpt: &Checkpoint, engine: &ServeEngine, users: &[UserId]) {
     let mut count = 0usize;
     for &u in users {
         let f32_scores = engine.score_user(u).expect("score user (f32)");
-        let q_scores = qsharded.inner().score_user(u).expect("score user (quantized)");
+        let q_scores = qengine.score_user(u).expect("score user (quantized)");
         let q_sharded = qsharded.score_user(u).expect("score user (quantized sharded)");
         assert_eq!(f32_scores.len(), q_scores.len());
         // Sharded quantized == unsharded quantized, bit for bit.

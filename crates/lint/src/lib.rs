@@ -17,6 +17,7 @@
 //! | `kill-point-marker` | every `kill_point` site outside `crates/obs/` carries `// om-fault: kill-point` |
 //! | `kernel-parity` | every kernel has a `_serial` twin in the parity suite |
 //! | `workspace-lints` | all crates opt into `[workspace.lints.rust]` |
+//! | `policy-path` | every file a policy list names ([`POLICY_PATH_LISTS`]) exists |
 //!
 //! Semantic passes over the [`ast`] item tree (see [`semantic`] and
 //! [`env_registry`] for policies and escape markers):
@@ -49,6 +50,14 @@ use std::path::{Path, PathBuf};
 
 pub use passes::Violation;
 pub use semantic::Policy;
+
+/// The policy lists that name files by path; [`lint_repo`] reports an
+/// entry whose file is not in the tree (`policy-path`).
+pub const POLICY_PATH_LISTS: &[(&str, &[&str])] = &[
+    ("PANIC_FREE_FILES", semantic::PANIC_FREE_FILES),
+    ("UNSAFE_ALLOWED", passes::UNSAFE_ALLOWED),
+    ("REDUCTION_EXEMPT", semantic::REDUCTION_EXEMPT),
+];
 
 /// Directories never descended into.
 const SKIP_DIRS: &[&str] = &["target", "vendor", ".git", ".github"];
@@ -100,6 +109,8 @@ pub fn lint_repo(root: &Path) -> LintReport {
     let mut parity: Option<lexer::LexedFile> = None;
     let mut env_used: BTreeSet<String> = BTreeSet::new();
     let mut metric_used: BTreeSet<String> = BTreeSet::new();
+    let present: BTreeSet<String> = files.iter().map(|path| rel_of(root, path)).collect();
+    violations.extend(passes::check_policy_paths(POLICY_PATH_LISTS, &present));
 
     for path in &files {
         let rel = rel_of(root, path);

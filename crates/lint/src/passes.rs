@@ -41,6 +41,27 @@ pub const SIMD_PATH: &str = "crates/tensor/src/simd.rs";
 /// not a convenience.
 pub const UNSAFE_ALLOWED: &[&str] = &[RUNTIME_PATH, MMAP_PATH, SIMD_PATH];
 
+/// Every path a policy list names must be a `.rs` file in the tree: an
+/// entry for a deleted or renamed file silently checks nothing. `lists`
+/// pairs each list's name with its entries; `present` holds the tree's
+/// workspace-relative `.rs` paths.
+pub fn check_policy_paths(lists: &[(&str, &[&str])], present: &BTreeSet<String>) -> Vec<Violation> {
+    let mut v = Vec::new();
+    for &(list, paths) in lists {
+        for &path in paths {
+            if !present.contains(path) {
+                v.push(Violation {
+                    file: path.to_string(),
+                    line: 1,
+                    rule: "policy-path",
+                    msg: format!("`{list}` names this file, but it is not in the tree — the entry checks nothing"),
+                });
+            }
+        }
+    }
+    v
+}
+
 /// Crates whose numeric results feed the paper's tables: any iteration
 /// order nondeterminism here changes published numbers.
 pub const MODEL_PATH_CRATES: &[&str] = &[

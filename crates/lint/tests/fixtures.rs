@@ -4,9 +4,11 @@
 //! strings, so the lint crate's own tree stays clean.
 
 use om_lint::lexer::lex;
+use std::collections::BTreeSet;
+
 use om_lint::passes::{
-    check_hash_collections, check_kernel_parity, check_kill_points, check_print,
-    check_thread_spawn, check_unsafe, check_workspace_lints,
+    check_hash_collections, check_kernel_parity, check_kill_points, check_policy_paths,
+    check_print, check_thread_spawn, check_unsafe, check_workspace_lints,
 };
 
 const MODEL_FILE: &str = "crates/core/src/somewhere.rs";
@@ -193,6 +195,40 @@ fn unmarked_kill_points_are_flagged() {
     // Mentions in comments/strings don't count as call sites.
     let prose = "// the fault module's kill_point is documented in DESIGN.md\npub fn f() {}\n";
     assert!(check_kill_points(MODEL_FILE, &lex(prose)).is_empty());
+}
+
+#[test]
+fn policy_lists_must_name_files_in_the_tree() {
+    let present: BTreeSet<String> =
+        ["crates/serve/src/engine.rs", "crates/tensor/src/kernels.rs"].map(String::from).into();
+    let lists: &[(&str, &[&str])] = &[
+        ("PANIC_FREE_FILES", &["crates/serve/src/engine.rs", "crates/serve/src/shard.rs"]),
+        ("REDUCTION_EXEMPT", &["crates/tensor/src/kernels.rs"]),
+    ];
+    let v = check_policy_paths(lists, &present);
+    assert_eq!(v.len(), 1, "only the missing entry is flagged: {v:?}");
+    assert_eq!(v[0].rule, "policy-path");
+    assert_eq!(v[0].file, "crates/serve/src/shard.rs");
+    assert!(v[0].msg.contains("PANIC_FREE_FILES"), "names the list: {}", v[0].msg);
+    assert!(check_policy_paths(&lists[1..], &present).is_empty());
+}
+
+/// The workspace's own policy lists name only files that exist.
+#[test]
+fn workspace_policy_lists_name_files_in_the_tree() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("workspace root")
+        .to_path_buf();
+    let report = om_lint::lint_repo(&root);
+    let stale: Vec<String> = report
+        .violations
+        .iter()
+        .filter(|v| v.rule == "policy-path")
+        .map(|v| v.to_string())
+        .collect();
+    assert!(stale.is_empty(), "stale policy entries:\n{}", stale.join("\n"));
 }
 
 /// The acceptance criterion: the real tree is clean. Any future violation

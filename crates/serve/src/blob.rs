@@ -42,7 +42,13 @@
 //! CRCs — O(file), the right default for tests and one-off tooling, while
 //! a production cold start uses `Quick` and keeps start-up cost at
 //! O(pages touched) (CRCs were verified when the blob was written; the
-//! frame still catches the torn/partial-file failure modes).
+//! frame still catches the torn/partial-file failure modes). At either
+//! level the arena loader rejects an id that appears on two rows with
+//! [`BlobError::DuplicateId`], so a flipped bit in the ids section that
+//! `Quick` lets through is still a typed error, never a panic.
+//!
+//! One writer (`write_blob`) and one frame computation serve both
+//! versions; the version follows from the payload.
 
 use std::io::{self, Write as _};
 use std::path::Path;
@@ -50,7 +56,8 @@ use std::sync::Arc;
 
 use om_nn::serialize::crc32;
 
-use crate::mmap::{F32View, I8View, Mmap};
+use crate::arena::{Payload, Store};
+use crate::mmap::{MapView, Mmap};
 
 const MAGIC: &[u8; 4] = b"OMAB";
 const VERSION: u32 = 1;
@@ -135,6 +142,8 @@ pub enum BlobError {
     },
     /// Declared sizes overflow or a section is misaligned.
     BadFrame,
+    /// The ids section names this id on more than one row.
+    DuplicateId(u32),
 }
 
 impl std::fmt::Display for BlobError {
@@ -157,6 +166,7 @@ impl std::fmt::Display for BlobError {
                 write!(f, "trailing bytes: expected {expected} bytes, found {actual}")
             }
             BlobError::BadFrame => write!(f, "inconsistent frame lengths"),
+            BlobError::DuplicateId(id) => write!(f, "duplicate arena id {id}"),
         }
     }
 }
@@ -173,54 +183,71 @@ fn align8(off: usize) -> usize {
     off.div_ceil(8) * 8
 }
 
-/// Byte offsets of the two sections and the total frame length for a
-/// v1 blob of `n` rows × `dim`. `None` on arithmetic overflow.
-fn frame(n: usize, dim: usize) -> Option<(usize, usize, usize)> {
-    let ids_len = n.checked_mul(4)?;
-    let data_off = align8(IDS_OFF.checked_add(ids_len)?);
-    let data_len = n.checked_mul(dim)?.checked_mul(4)?;
-    let total = data_off.checked_add(data_len)?;
-    Some((IDS_OFF, data_off, total))
+/// Byte layout past the header of a blob of `n` rows × `dim`.
+struct Frame {
+    /// Start of the region `data_crc` covers: the f32 rows (v1), or the
+    /// scales, their pad and the codes (v2).
+    payload_off: usize,
+    /// Start of the `n × dim` row block: f32 rows (v1) or i8 codes (v2).
+    rows_off: usize,
+    /// Exact file length.
+    total: usize,
 }
 
-/// Byte offsets `(scales_off, q_off, total)` for a v2 quantized blob of
-/// `n` rows × `dim`. `None` on arithmetic overflow.
-fn frame_q8(n: usize, dim: usize) -> Option<(usize, usize, usize)> {
-    let ids_len = n.checked_mul(4)?;
-    let scales_off = align8(IDS_OFF.checked_add(ids_len)?);
-    let q_off = align8(scales_off.checked_add(n.checked_mul(4)?)?);
-    let total = q_off.checked_add(n.checked_mul(dim)?)?;
-    Some((scales_off, q_off, total))
+/// The [`Frame`] of a v1 (`quantized = false`) or v2 blob of `n` rows ×
+/// `dim`. `None` on arithmetic overflow.
+fn frame(quantized: bool, n: usize, dim: usize) -> Option<Frame> {
+    let payload_off = align8(IDS_OFF.checked_add(n.checked_mul(4)?)?);
+    let (rows_off, elem) = if quantized {
+        (align8(payload_off.checked_add(n.checked_mul(4)?)?), 1)
+    } else {
+        (payload_off, 4)
+    };
+    let total = rows_off.checked_add(n.checked_mul(dim)?.checked_mul(elem)?)?;
+    Some(Frame { payload_off, rows_off, total })
 }
 
 /// Serialize one arena to `path`, atomically: write `path.tmp`, fsync,
-/// rename. `data.len()` must equal `ids.len() * dim`.
-pub fn write_blob(
+/// rename. An f32 payload becomes a v1 blob, a quantized one a v2 blob.
+pub(crate) fn write_blob(
     path: &Path,
     kind: BlobKind,
     dim: usize,
     ids: &[u32],
-    data: &[f32],
+    payload: &Payload,
 ) -> Result<(), BlobError> {
-    assert_eq!(data.len(), ids.len() * dim, "ragged arena blob");
-    let n = ids.len();
-    let (ids_off, data_off, total) = frame(n, dim).ok_or(BlobError::BadFrame)?;
+    let quantized = payload.is_quantized();
+    let f = frame(quantized, ids.len(), dim).ok_or(BlobError::BadFrame)?;
 
-    let mut ids_bytes = Vec::with_capacity(n * 4);
+    let mut ids_bytes = Vec::with_capacity(ids.len() * 4);
     for id in ids {
         ids_bytes.extend_from_slice(&id.to_le_bytes());
     }
-    let mut data_bytes = Vec::with_capacity(data.len() * 4);
-    for v in data {
-        data_bytes.extend_from_slice(&v.to_le_bytes());
+    // The data CRC covers the whole payload..end region (in v2 the pad
+    // between scales and codes included), so the open-time check is one
+    // contiguous crc32 over the map.
+    let mut data_bytes = Vec::with_capacity(f.total - f.payload_off);
+    let f32s = |out: &mut Vec<u8>, vals: &[f32]| {
+        for v in vals {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+    };
+    match payload {
+        Payload::F32(rows) => f32s(&mut data_bytes, rows.as_slice()),
+        Payload::Q8 { q, scales } => {
+            f32s(&mut data_bytes, scales.as_slice());
+            data_bytes.resize(f.rows_off - f.payload_off, 0u8);
+            data_bytes.extend(q.as_slice().iter().map(|&c| c as u8));
+        }
     }
+    assert_eq!(data_bytes.len(), f.total - f.payload_off, "ragged arena blob");
 
     let mut header = Vec::with_capacity(HEADER_LEN);
     header.extend_from_slice(MAGIC);
-    header.extend_from_slice(&VERSION.to_le_bytes());
+    header.extend_from_slice(&(if quantized { VERSION_Q8 } else { VERSION }).to_le_bytes());
     header.extend_from_slice(&kind.code().to_le_bytes());
     header.extend_from_slice(&u32::try_from(dim).map_err(|_| BlobError::BadFrame)?.to_le_bytes());
-    header.extend_from_slice(&(n as u64).to_le_bytes());
+    header.extend_from_slice(&(ids.len() as u64).to_le_bytes());
     header.extend_from_slice(&crc32(&ids_bytes).to_le_bytes());
     header.extend_from_slice(&crc32(&data_bytes).to_le_bytes());
     let hcrc = crc32(&header);
@@ -230,103 +257,30 @@ pub fn write_blob(
 
     let tmp = path.with_extension("omab.tmp");
     {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&header)?;
-        f.write_all(&ids_bytes)?;
-        f.write_all(&vec![0u8; data_off - ids_off - ids_bytes.len()])?;
-        f.write_all(&data_bytes)?;
-        f.sync_all()?;
-        debug_assert_eq!(HEADER_LEN + ids_bytes.len() + (data_off - ids_off - ids_bytes.len()) + data_bytes.len(), total);
+        let mut file = std::fs::File::create(&tmp)?;
+        file.write_all(&header)?;
+        file.write_all(&ids_bytes)?;
+        file.write_all(&vec![0u8; f.payload_off - IDS_OFF - ids_bytes.len()])?;
+        file.write_all(&data_bytes)?;
+        file.sync_all()?;
     }
     std::fs::rename(&tmp, path)?;
     Ok(())
-}
-
-/// Serialize one quantized arena to `path` as an `OMAB` v2 blob,
-/// atomically. `q.len()` must equal `ids.len() * dim` and `scales.len()`
-/// must equal `ids.len()`.
-pub fn write_blob_q8(
-    path: &Path,
-    kind: BlobKind,
-    dim: usize,
-    ids: &[u32],
-    q: &[i8],
-    scales: &[f32],
-) -> Result<(), BlobError> {
-    assert_eq!(q.len(), ids.len() * dim, "ragged quantized arena blob");
-    assert_eq!(scales.len(), ids.len(), "one scale per quantized arena row");
-    let n = ids.len();
-    let (scales_off, q_off, total) = frame_q8(n, dim).ok_or(BlobError::BadFrame)?;
-
-    let mut ids_bytes = Vec::with_capacity(n * 4);
-    for id in ids {
-        ids_bytes.extend_from_slice(&id.to_le_bytes());
-    }
-    // The data CRC covers the whole scales..end region, pad included, so
-    // the open-time check is one contiguous crc32 over the map.
-    let mut data_bytes = Vec::with_capacity(total - scales_off);
-    for s in scales {
-        data_bytes.extend_from_slice(&s.to_le_bytes());
-    }
-    data_bytes.resize(q_off - scales_off, 0u8);
-    data_bytes.extend(q.iter().map(|&c| c as u8));
-    debug_assert_eq!(data_bytes.len(), total - scales_off);
-
-    let mut header = Vec::with_capacity(HEADER_LEN);
-    header.extend_from_slice(MAGIC);
-    header.extend_from_slice(&VERSION_Q8.to_le_bytes());
-    header.extend_from_slice(&kind.code().to_le_bytes());
-    header.extend_from_slice(&u32::try_from(dim).map_err(|_| BlobError::BadFrame)?.to_le_bytes());
-    header.extend_from_slice(&(n as u64).to_le_bytes());
-    header.extend_from_slice(&crc32(&ids_bytes).to_le_bytes());
-    header.extend_from_slice(&crc32(&data_bytes).to_le_bytes());
-    let hcrc = crc32(&header);
-    header.extend_from_slice(&hcrc.to_le_bytes());
-    header.extend_from_slice(&[0u8; 4]);
-    debug_assert_eq!(header.len(), HEADER_LEN);
-
-    let tmp = path.with_extension("omab.tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&header)?;
-        f.write_all(&ids_bytes)?;
-        f.write_all(&vec![0u8; scales_off - IDS_OFF - ids_bytes.len()])?;
-        f.write_all(&data_bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    Ok(())
-}
-
-/// Section offsets past the header — which sections exist depends on the
-/// format version.
-enum Layout {
-    /// v1: one f32 feature block.
-    F32 {
-        /// Offset of the `n × dim` f32 block.
-        data_off: usize,
-    },
-    /// v2: per-row scales + int8 codes.
-    Q8 {
-        /// Offset of the `n` f32 scales.
-        scales_off: usize,
-        /// Offset of the `n × dim` i8 codes.
-        q_off: usize,
-    },
 }
 
 /// An opened, frame-validated arena blob.
-pub struct ArenaBlob {
+pub(crate) struct ArenaBlob {
     map: Arc<Mmap>,
     kind: BlobKind,
     dim: usize,
     n: usize,
-    layout: Layout,
+    quantized: bool,
+    frame: Frame,
 }
 
 impl ArenaBlob {
     /// Open and validate `path` (see [`Verify`] for how much validation).
-    pub fn open(path: &Path, verify: Verify) -> Result<ArenaBlob, BlobError> {
+    pub(crate) fn open(path: &Path, verify: Verify) -> Result<ArenaBlob, BlobError> {
         let map = Arc::new(Mmap::open(path)?);
         let bytes = map.as_bytes();
         if bytes.len() < HEADER_LEN {
@@ -346,23 +300,17 @@ impl ArenaBlob {
         if version != VERSION && version != VERSION_Q8 {
             return Err(BlobError::BadVersion(version));
         }
+        let quantized = version == VERSION_Q8;
         let kind = BlobKind::from_code(u32_at(8)).ok_or(BlobError::BadKind(u32_at(8)))?;
         let dim = u32_at(12) as usize;
         let n = usize::try_from(u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes")))
             .map_err(|_| BlobError::BadFrame)?;
-        let (layout, data_region, total) = if version == VERSION {
-            let (_, data_off, total) = frame(n, dim).ok_or(BlobError::BadFrame)?;
-            (Layout::F32 { data_off }, data_off, total)
-        } else {
-            let (scales_off, q_off, total) = frame_q8(n, dim).ok_or(BlobError::BadFrame)?;
-            (Layout::Q8 { scales_off, q_off }, scales_off, total)
-        };
-        match bytes.len().cmp(&total) {
-            std::cmp::Ordering::Less => {
-                return Err(BlobError::Truncated { expected: total as u64, actual: bytes.len() as u64 })
-            }
+        let frame = frame(quantized, n, dim).ok_or(BlobError::BadFrame)?;
+        let (expected, actual) = (frame.total as u64, bytes.len() as u64);
+        match actual.cmp(&expected) {
+            std::cmp::Ordering::Less => return Err(BlobError::Truncated { expected, actual }),
             std::cmp::Ordering::Greater => {
-                return Err(BlobError::TrailingBytes { expected: total as u64, actual: bytes.len() as u64 })
+                return Err(BlobError::TrailingBytes { expected, actual })
             }
             std::cmp::Ordering::Equal => {}
         }
@@ -370,49 +318,27 @@ impl ArenaBlob {
             if u32_at(24) != crc32(&bytes[IDS_OFF..IDS_OFF + n * 4]) {
                 return Err(BlobError::IdsCrc);
             }
-            if u32_at(28) != crc32(&bytes[data_region..total]) {
+            if u32_at(28) != crc32(&bytes[frame.payload_off..frame.total]) {
                 return Err(BlobError::DataCrc);
             }
         }
         om_obs::metrics::counter("serve.blob.opens").add(1);
-        Ok(ArenaBlob { map, kind, dim, n, layout })
-    }
-
-    /// Whether the blob holds the int8 quantized payload (v2) rather than
-    /// the f32 block (v1).
-    pub fn is_quantized(&self) -> bool {
-        matches!(self.layout, Layout::Q8 { .. })
+        Ok(ArenaBlob { map, kind, dim, n, quantized, frame })
     }
 
     /// Which arena type the blob holds.
-    pub fn kind(&self) -> BlobKind {
+    pub(crate) fn kind(&self) -> BlobKind {
         self.kind
     }
 
     /// Feature width per row.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.dim
-    }
-
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the blob holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Whether the feature data is genuinely page-mapped (vs. the heap
-    /// fallback on unsupported targets).
-    pub fn is_mapped(&self) -> bool {
-        self.map.is_mapped()
     }
 
     /// Decode the row-order id section (a copy — ids are 4 bytes/row, the
     /// cheap part of the blob).
-    pub fn ids(&self) -> Vec<u32> {
+    pub(crate) fn ids(&self) -> Vec<u32> {
         let bytes = self.map.as_bytes();
         (0..self.n)
             .map(|i| {
@@ -422,11 +348,26 @@ impl ArenaBlob {
             .collect()
     }
 
+    /// The arena payload the header declares: v1 maps the `[n, dim]` f32
+    /// rows, v2 maps the int8 codes (no endianness concern) and reads the
+    /// scales the same way as v1 rows.
+    pub(crate) fn payload(&self) -> Payload {
+        let rows = self.n * self.dim;
+        if self.quantized {
+            Payload::Q8 {
+                q: Store::Mapped(MapView::new(Arc::clone(&self.map), self.frame.rows_off, rows)),
+                scales: self.f32_store(self.frame.payload_off, self.n),
+            }
+        } else {
+            Payload::F32(self.f32_store(self.frame.rows_off, rows))
+        }
+    }
+
     /// A zero-copy f32 window on little-endian targets, an owned decode
     /// elsewhere: `count` floats starting `off` bytes into the map.
-    fn f32_rows(&self, off: usize, count: usize) -> crate::arena::Rows {
+    fn f32_store(&self, off: usize, count: usize) -> Store<f32> {
         if cfg!(target_endian = "little") {
-            crate::arena::Rows::Mapped(F32View::new(Arc::clone(&self.map), off, count))
+            Store::Mapped(MapView::new(Arc::clone(&self.map), off, count))
         } else {
             let bytes = self.map.as_bytes();
             let data = (0..count)
@@ -435,34 +376,7 @@ impl ArenaBlob {
                     f32::from_le_bytes(bytes[o..o + 4].try_into().expect("4 bytes"))
                 })
                 .collect();
-            crate::arena::Rows::Owned(data)
-        }
-    }
-
-    /// The `[n, dim]` feature block of a v1 blob. Panics on a quantized
-    /// blob — the arena loader branches on [`ArenaBlob::is_quantized`]
-    /// first.
-    pub(crate) fn feature_rows(&self) -> crate::arena::Rows {
-        match self.layout {
-            Layout::F32 { data_off } => self.f32_rows(data_off, self.n * self.dim),
-            Layout::Q8 { .. } => panic!("feature_rows on a quantized (v2) blob"),
-        }
-    }
-
-    /// The `(codes, scales)` payload of a v2 blob: codes are a zero-copy
-    /// i8 window (no endianness concern), scales follow the same
-    /// endian-gated path as v1 feature rows. Panics on a v1 blob.
-    pub(crate) fn q8_payload(&self) -> (crate::arena::QBytes, crate::arena::Rows) {
-        match self.layout {
-            Layout::Q8 { scales_off, q_off } => {
-                let q = crate::arena::QBytes::Mapped(I8View::new(
-                    Arc::clone(&self.map),
-                    q_off,
-                    self.n * self.dim,
-                ));
-                (q, self.f32_rows(scales_off, self.n))
-            }
-            Layout::F32 { .. } => panic!("q8_payload on an f32 (v1) blob"),
+            Store::Owned(data)
         }
     }
 }

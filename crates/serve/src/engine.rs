@@ -6,25 +6,39 @@
 //!    for the cold ones (their auxiliary target documents);
 //! 2. the rating head's layer-1 user partial `P = u·W1[..user_dim]`, once
 //!    per request (`omnimatch_core::PairBlockScorer`);
-//! 3. per item shard and request, layer 1 resumed from `P` over the item
-//!    rows, then bias, ReLU, layer 2 and per-row expected stars — no
-//!    `[B·N, user_dim + item_dim]` cross join is ever built;
-//! 4. per-request top-K via `om_metrics::topk` — the selection code path
-//!    the offline eval tables share.
+//! 3. item shard by item shard of [`ServeOptions::shard_items`] rows, per
+//!    request: layer 1 resumed from `P` over the shard's item rows, then
+//!    bias, ReLU, layer 2 and per-row expected stars — no
+//!    `[B·N, user_dim + item_dim]` cross join is ever built — and a
+//!    *per-shard* top-K via `om_metrics::topk` (the selection code path
+//!    the offline eval tables share);
+//! 4. per request, one `om_metrics::merge_top_k` of the per-shard
+//!    winners — at most `k` per shard, tagged with their global arena row.
 //!
-//! [`ServeEngine`] scores the whole arena as one shard; [`crate::ShardedEngine`]
-//! runs the same path (`ServeEngine::score_shards`) shard by shard.
+//! Shards bound the per-flush working set (one `[shard_items, hidden]`
+//! layer-1 block and, for int8 arenas, one dequantized shard)
+//! independently of `N`. A catalogue no wider than one shard is the
+//! one-shard case of the same path.
 //!
-//! Bitwise determinism: resuming layer 1 from `P` keeps each element's
-//! sum in the `p` order of the reference `pair_rows` →
-//! `rating_logits_from_pairs` → `expected_stars` (`gemm` accumulates into
-//! its output in `p` order). Every step is per-row independent (the GEMM
-//! fixes its reduction order per output element regardless of how many
-//! rows the batch has), and top-K uses a strict total order. Hence
-//! `serve_batch([a, b, c])` equals `[serve_one(a), serve_one(b),
-//! serve_one(c)]` bit for bit, at any thread count — property-tested in
-//! `tests/batching_parity.rs`, and against the reference decomposition in
-//! `tests/fused_head_diff.rs`.
+//! Bitwise determinism is a theorem, not a tuning goal:
+//!
+//! * resuming layer 1 from `P` keeps each element's sum in the `p` order
+//!   of the reference `pair_rows` → `rating_logits_from_pairs` →
+//!   `expected_stars` (`gemm` accumulates into its output in `p` order);
+//! * every step is per-row independent (the GEMM fixes its reduction
+//!   order per output element regardless of how many rows the batch or
+//!   shard has), so an item's score does not depend on its shard or its
+//!   batch;
+//! * top-K uses a strict total order (`cmp_nan_last_desc`, ties by
+//!   ascending arena row), under which each shard's top-`k` is a superset
+//!   of that shard's contribution to the global top-`k`, so merging
+//!   per-shard winners loses nothing.
+//!
+//! Hence `serve_batch([a, b, c])` equals `[serve_one(a), serve_one(b),
+//! serve_one(c)]` bit for bit, at any shard width and thread count —
+//! property-tested in `tests/batching_parity.rs` and
+//! `tests/sharded_diff.rs` (NaNs and ties included), and against the
+//! reference decomposition in `tests/fused_head_diff.rs`.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -50,9 +64,9 @@ pub struct ServeOptions {
     pub topk: usize,
     /// Document batch size for the offline arena precompute.
     pub arena_batch: usize,
-    /// Item rows per shard for the sharded engine (`OM_SERVE_SHARD`,
-    /// default 8192). Partitioning is a throughput/footprint knob only;
-    /// it cannot affect any bit of the result.
+    /// Item rows per scoring shard (`OM_SERVE_SHARD`, default 8192).
+    /// Partitioning is a throughput/footprint knob only; it cannot
+    /// affect any bit of the result.
     pub shard_items: usize,
     /// Streamed target-domain interactions after which a cold user
     /// graduates to warm inference (`OM_SERVE_WARM_AFTER`, default 5).
@@ -134,11 +148,11 @@ pub struct Response {
 /// tearing an in-flight batch. The item arena is immutable between model
 /// versions, so it stays a plain field.
 pub struct ServeEngine {
-    pub(crate) model: OmniMatchModel,
-    pub(crate) views: CorpusViews,
-    pub(crate) items: ItemArena,
-    pub(crate) users: ArenaSwap,
-    pub(crate) opts: ServeOptions,
+    model: OmniMatchModel,
+    views: CorpusViews,
+    items: ItemArena,
+    users: ArenaSwap,
+    opts: ServeOptions,
     store: Mutex<InteractionStore>,
 }
 
@@ -150,33 +164,6 @@ fn store_lock(cell: &Mutex<InteractionStore>) -> MutexGuard<'_, InteractionStore
         Ok(guard) => guard,
         Err(poisoned) => poisoned.into_inner(),
     }
-}
-
-/// Run and record one engine flush — the one recorder behind both
-/// engines' `serve_batch`. `score` is the scoring forward (for the
-/// sharded engine, per-shard top-K included), `merge` turns its output
-/// into one response per request. Each flush records `serve.requests`,
-/// `serve.flushes`, `serve.flush_ns`, and the stage histograms
-/// `serve.score` / `serve.merge`, once.
-pub(crate) fn timed_flush<S>(
-    reqs: &[Request],
-    score: impl FnOnce() -> Result<S, ServeError>,
-    merge: impl FnOnce(S) -> Vec<Response>,
-) -> Result<Vec<Response>, ServeError> {
-    if reqs.is_empty() {
-        return Ok(Vec::new());
-    }
-    let t0 = om_obs::clock::now_ns();
-    let scored = score()?;
-    let t_scored = om_obs::clock::now_ns();
-    let out = merge(scored);
-    let t_merged = om_obs::clock::now_ns();
-    om_obs::metrics::counter("serve.requests").add(reqs.len() as u64);
-    om_obs::metrics::counter("serve.flushes").add(1);
-    om_obs::metrics::histogram("serve.flush_ns").record(t_merged.saturating_sub(t0));
-    om_obs::metrics::histogram("serve.score").record(t_scored.saturating_sub(t0));
-    om_obs::metrics::histogram("serve.merge").record(t_merged.saturating_sub(t_scored));
-    Ok(out)
 }
 
 impl ServeEngine {
@@ -201,14 +188,7 @@ impl ServeEngine {
         );
         om_obs::metrics::counter("serve.arena.items").add(items.len() as u64);
         om_obs::metrics::counter("serve.arena.warm_users").add(users.len() as u64);
-        ServeEngine {
-            model,
-            views,
-            items,
-            users: ArenaSwap::new(users),
-            opts,
-            store: Mutex::new(InteractionStore::new()),
-        }
+        ServeEngine::with_arenas(model, views, items, users, opts)
     }
 
     /// Assemble an engine from pre-built arenas — the path the serving
@@ -222,6 +202,13 @@ impl ServeEngine {
         users: UserArena,
         opts: ServeOptions,
     ) -> ServeEngine {
+        let width = opts.shard_items.max(1);
+        om_obs::info!(
+            "serve: engine — {} items in {} shards of {}",
+            items.len(),
+            items.len().div_ceil(width).max(1),
+            width
+        );
         ServeEngine {
             model,
             views,
@@ -267,33 +254,64 @@ impl ServeEngine {
     }
 
     /// Expected-star scores of `user` against the whole arena, in arena
-    /// (dense item) order. Single-request path; [`ServeEngine::serve_batch`]
-    /// produces bitwise-identical rows for any grouping.
+    /// (dense item) order, assembled shard by shard. Bitwise equal to the
+    /// rows [`ServeEngine::serve_batch`] ranks, for any grouping.
     pub fn score_user(&self, user: UserId) -> Result<Vec<f32>, ServeError> {
+        let mut scores = Vec::with_capacity(self.items.len());
         let req = [Request { id: 0, user, arrive_us: 0 }];
-        self.score_batch(&req)?
+        self.score_shards(&req, |_, _, stars| scores.extend(stars))?;
+        Ok(scores)
+    }
+
+    /// Serve one request: a microbatch of one.
+    pub fn serve_one(&self, req: Request) -> Result<Response, ServeError> {
+        self.serve_batch(std::slice::from_ref(&req))?
             .pop()
             .ok_or(ServeError::ScoreShape { expected: 1, got: 0 })
     }
 
-    /// Serve one request (unbatched path — used as the parity oracle).
-    pub fn serve_one(&self, req: Request) -> Result<Response, ServeError> {
-        let scores = self.score_user(req.user)?;
-        Ok(self.respond(req, &scores))
-    }
-
-    /// Serve a microbatch: one fused forward, then per-request top-K.
+    /// Serve a microbatch: per item shard, the rating head and a bounded
+    /// top-K per request; then one merge per request. Each flush records
+    /// `serve.requests`, `serve.flushes`, `serve.flush_ns` and the stage
+    /// histograms `serve.score` (scoring with per-shard top-K) /
+    /// `serve.merge`, once.
     pub fn serve_batch(&self, reqs: &[Request]) -> Result<Vec<Response>, ServeError> {
-        timed_flush(
-            reqs,
-            || self.score_batch(reqs),
-            |rows| {
-                reqs.iter()
-                    .zip(&rows)
-                    .map(|(&req, scores)| self.respond(req, scores))
-                    .collect()
-            },
-        )
+        if reqs.is_empty() {
+            return Ok(Vec::new());
+        }
+        let k = self.opts.topk;
+        let t0 = om_obs::clock::now_ns();
+        // Per-request candidate pools: ≤ k winners per shard, tagged with
+        // the global arena row so the merge's tie order is arena order.
+        let mut pools: Vec<Vec<(f32, usize)>> = vec![Vec::new(); reqs.len()];
+        self.score_shards(reqs, |b, base, stars| {
+            if let Some(pool) = pools.get_mut(b) {
+                pool.extend(
+                    om_metrics::top_k_indices(&stars, k)
+                        .into_iter()
+                        .filter_map(|i| stars.get(i).map(|&s| (s, base + i))),
+                );
+            }
+        })?;
+        let t_scored = om_obs::clock::now_ns();
+        let out = reqs
+            .iter()
+            .zip(pools)
+            .map(|(&req, pool)| {
+                let top = om_metrics::merge_top_k(pool, k)
+                    .into_iter()
+                    .map(|(score, i)| (self.items.id_at(i), score))
+                    .collect();
+                Response { id: req.id, user: req.user, top }
+            })
+            .collect();
+        let t_merged = om_obs::clock::now_ns();
+        om_obs::metrics::counter("serve.requests").add(reqs.len() as u64);
+        om_obs::metrics::counter("serve.flushes").add(1);
+        om_obs::metrics::histogram("serve.flush_ns").record(t_merged.saturating_sub(t0));
+        om_obs::metrics::histogram("serve.score").record(t_scored.saturating_sub(t0));
+        om_obs::metrics::histogram("serve.merge").record(t_merged.saturating_sub(t_scored));
+        Ok(out)
     }
 
     /// Per-request combined user feature rows, `[reqs.len(), user_dim]`:
@@ -359,17 +377,15 @@ impl ServeEngine {
         Ok(())
     }
 
-    /// The one scoring path both engines share. User rows are assembled
-    /// once (warm → arena copy, cold → one batched tower pass) and folded
-    /// into the rating head's per-user partials; then, item shard by item
-    /// shard of `shard_items` rows, every request's expected stars go to
-    /// `sink(request index, shard's first arena row, stars)`. The
-    /// single-arena engine is the one-shard case. Runs under inference
-    /// mode throughout.
-    pub(crate) fn score_shards(
+    /// The one scoring path. User rows are assembled once (warm → arena
+    /// copy, cold → one batched tower pass) and folded into the rating
+    /// head's per-user partials; then, item shard by item shard of
+    /// [`ServeOptions::shard_items`] rows, every request's expected stars
+    /// go to `sink(request index, shard's first arena row, stars)`. Runs
+    /// under inference mode throughout.
+    fn score_shards(
         &self,
         reqs: &[Request],
-        shard_items: usize,
         mut sink: impl FnMut(usize, usize, Vec<f32>),
     ) -> Result<(), ServeError> {
         let _mode = om_nn::inference_mode();
@@ -389,9 +405,9 @@ impl ServeEngine {
         // `rows_f32` borrows the arena when it is f32 and dequantizes the
         // shard into the scratch when it is int8.
         let mut scratch = Vec::new();
-        let width = shard_items.max(1);
+        let width = self.opts.shard_items.max(1);
         for base in (0..n).step_by(width) {
-            let hi = (base + width).min(n);
+            let hi = base.saturating_add(width).min(n);
             let rows = self.items.rows_f32(base, hi, &mut scratch);
             for b in 0..reqs.len() {
                 let stars = head.score(b, rows);
@@ -405,27 +421,6 @@ impl ServeEngine {
             }
         }
         Ok(())
-    }
-
-    /// Per-request score rows against the whole arena (arena order) —
-    /// `ServeEngine::score_shards` with a single shard.
-    fn score_batch(&self, reqs: &[Request]) -> Result<Vec<Vec<f32>>, ServeError> {
-        let mut rows: Vec<Vec<f32>> = vec![Vec::new(); reqs.len()];
-        self.score_shards(reqs, self.items.len(), |b, _, stars| {
-            if let Some(row) = rows.get_mut(b) {
-                row.extend(stars);
-            }
-        })?;
-        Ok(rows)
-    }
-
-    /// Sharded top-K over one score row → a [`Response`].
-    fn respond(&self, req: Request, scores: &[f32]) -> Response {
-        let top = om_metrics::top_k_indices(scores, self.opts.topk)
-            .into_iter()
-            .filter_map(|i| scores.get(i).map(|&s| (self.items.id_at(i), s)))
-            .collect();
-        Response { id: req.id, user: req.user, top }
     }
 
     /// Naive oracle for tests/smoke: score, then *full* stable sort by
@@ -496,5 +491,30 @@ impl ServeEngine {
             if graduated { " (graduated cold→warm)" } else { "" }
         );
         Ok(UpdateOutcome { user: ev.user, seen, graduated, generation: Some(generation) })
+    }
+}
+
+/// The pre-merge name of the engine, kept only because the frozen
+/// benchmark harness (`perfbench/`) still names it: a newtype over
+/// [`ServeEngine`] (which already scores shard by shard at
+/// [`ServeOptions::shard_items`]) with one-line delegations. ROADMAP
+/// item 6, the next benchmark change, moves perfbench to `ServeEngine`
+/// and deletes this shim.
+pub struct ShardedEngine(ServeEngine);
+
+impl ShardedEngine {
+    /// Wrap `engine`.
+    pub fn new(engine: ServeEngine) -> ShardedEngine {
+        ShardedEngine(engine)
+    }
+
+    /// [`ServeEngine::serve_batch`].
+    pub fn serve_batch(&self, reqs: &[Request]) -> Result<Vec<Response>, ServeError> {
+        self.0.serve_batch(reqs)
+    }
+
+    /// [`ServeEngine::apply_event`].
+    pub fn apply_event(&self, ev: &UserEvent) -> Result<UpdateOutcome, ServeError> {
+        self.0.apply_event(ev)
     }
 }

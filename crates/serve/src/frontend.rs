@@ -1,6 +1,6 @@
 //! Threaded serving front-end: a bounded queue feeding the microbatcher.
 //!
-//! The engines and the [`crate::Microbatcher`] are synchronous and
+//! The engine and the [`crate::Microbatcher`] are synchronous and
 //! caller-clocked; this module adds the missing production shape — many
 //! request producers, one scoring consumer — without any new dependency:
 //!
@@ -10,21 +10,21 @@
 //!   [`SubmitError::QueueFull`] rejection (admission control: shed load at
 //!   the door instead of growing an unbounded queue until the process
 //!   dies);
-//! * one worker thread owns the scorer (engines hold `Rc`-based tensors
-//!   and are not `Send`, so the worker *builds* the scorer itself from a
-//!   `Send` factory closure), pumps arrivals into a microbatcher, and
-//!   flushes on size or deadline exactly like the synchronous loop;
+//! * one worker thread owns the scorer (the engine holds `Rc`-based
+//!   tensors and is not `Send`, so the worker *builds* the scorer itself
+//!   from a `Send` factory closure), pumps arrivals into a microbatcher,
+//!   and flushes on size or deadline exactly like the synchronous loop;
 //! * producers can also stream interactions through
 //!   [`FrontendHandle::submit_interaction`] — events ride the same
 //!   bounded FIFO and the worker applies them via
-//!   [`BatchScorer::apply_event`], which on the engines re-encodes the
+//!   [`BatchScorer::apply_event`], which on the engine re-encodes the
 //!   user's row and hot-swaps the user-arena generation (see
 //!   [`crate::update`]); accepted events are applied before shutdown for
 //!   the same gate + FIFO reason accepted requests are served;
 //! * [`Frontend::shutdown`] closes the admission gate, then enqueues a
 //!   stop marker **behind** every accepted request, so in-flight work
 //!   drains — every accepted request gets a response before the worker
-//!   exits — and returns the tallies.
+//!   exits — and returns the final [`StatsSnapshot`].
 //!
 //! The shutdown protocol needs the gate, not just the marker: without it
 //! a producer's `try_send` can race `shutdown` and land a request *after*
@@ -46,14 +46,13 @@
 //! Every accepted request is stamped with a monotone admission sequence
 //! number and clock readings at admission, dequeue, batch close and
 //! reply; the deltas feed the per-stage latency histograms
-//! `serve.queue_wait`, `serve.batch_wait` and `serve.e2e` (the engines
-//! record `serve.score` / `serve.merge` inside the flush), each recorded
+//! `serve.queue_wait`, `serve.batch_wait` and `serve.e2e` (the engine
+//! records `serve.score` / `serve.merge` inside the flush), each recorded
 //! once into the [`om_obs::metrics`] registry, which `/metrics` scrapes
 //! and each run's `events.jsonl` windows. All per-front-end tallies live
-//! in one set of shared atomics ([`StatsSnapshot`] via
-//! [`FrontendHandle::stats_snapshot`]), and the shutdown
-//! [`FrontendStats`] is derived from the *same* atomics, so the two views
-//! cannot disagree. Served, rejected and scorer-error events
+//! in one set of shared atomics, read as one [`StatsSnapshot`] — live via
+//! [`FrontendHandle::stats_snapshot`], final from [`Frontend::shutdown`].
+//! Served, rejected and scorer-error events
 //! also land in the [`om_obs::flightrec`] ring, which is dumped on a
 //! scorer error, on [`Frontend::shutdown`] with errors, and when the
 //! `scorer` kill point fires. None of this touches the scoring inputs:
@@ -70,11 +69,10 @@ use om_obs::flightrec::FlightRecord;
 use crate::batcher::Microbatcher;
 use crate::engine::{Request, Response, ServeEngine};
 use crate::error::ServeError;
-use crate::shard::ShardedEngine;
 use crate::update::{UpdateOutcome, UserEvent};
 
-/// Anything that can score a microbatch of requests. Both engines
-/// qualify; tests substitute stubs to pin queue behaviour without a
+/// Anything that can score a microbatch of requests. The engine
+/// qualifies; tests substitute stubs to pin queue behaviour without a
 /// model.
 pub trait BatchScorer {
     /// Score a flushed microbatch, one [`Response`] per request, in
@@ -83,7 +81,7 @@ pub trait BatchScorer {
     fn serve_batch(&self, reqs: &[Request]) -> Result<Vec<Response>, ServeError>;
 
     /// Ingest one streamed interaction (the online graduation path).
-    /// Engines re-encode and hot-swap; the default no-op keeps stub
+    /// The engine re-encodes and hot-swaps; the default no-op keeps stub
     /// scorers compiling — they accept events and do nothing.
     fn apply_event(&self, _ev: &UserEvent) -> Result<Option<UpdateOutcome>, ServeError> {
         Ok(None)
@@ -97,16 +95,6 @@ impl BatchScorer for ServeEngine {
 
     fn apply_event(&self, ev: &UserEvent) -> Result<Option<UpdateOutcome>, ServeError> {
         ServeEngine::apply_event(self, ev).map(Some)
-    }
-}
-
-impl BatchScorer for ShardedEngine {
-    fn serve_batch(&self, reqs: &[Request]) -> Result<Vec<Response>, ServeError> {
-        ShardedEngine::serve_batch(self, reqs)
-    }
-
-    fn apply_event(&self, ev: &UserEvent) -> Result<Option<UpdateOutcome>, ServeError> {
-        ShardedEngine::apply_event(self, ev).map(Some)
     }
 }
 
@@ -178,25 +166,9 @@ impl std::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-/// End-of-run tallies from [`Frontend::shutdown`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FrontendStats {
-    /// Requests scored (every accepted request is served, even on
-    /// shutdown).
-    pub served: u64,
-    /// Microbatch flushes executed.
-    pub flushes: u64,
-    /// Submits rejected by admission control.
-    pub rejected: u64,
-    /// Flushes whose scorer returned an error (those requests got no
-    /// response; the worker kept draining).
-    pub scorer_errors: u64,
-}
-
-/// A point-in-time view of the front-end, readable from any thread at any
-/// moment via [`FrontendHandle::stats_snapshot`] — no shutdown required.
-/// Backed by the same atomics the shutdown [`FrontendStats`] is built
-/// from, so the two can never disagree.
+/// A point-in-time view of the front-end's tallies, readable from any
+/// thread at any moment via [`FrontendHandle::stats_snapshot`], and
+/// returned once more, final, by [`Frontend::shutdown`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StatsSnapshot {
     /// Requests accepted past the admission gate (equal to the highest
@@ -235,21 +207,8 @@ pub struct StatsSnapshot {
     pub scorer_ready: bool,
 }
 
-impl StatsSnapshot {
-    /// The shutdown-shaped view of this snapshot ([`FrontendStats`] keeps
-    /// its historical field set; `rejected` counts queue-full rejections).
-    pub fn stats(&self) -> FrontendStats {
-        FrontendStats {
-            served: self.served,
-            flushes: self.flushes,
-            rejected: self.rejected_full,
-            scorer_errors: self.scorer_errors,
-        }
-    }
-}
-
-/// The shared tallies behind both [`StatsSnapshot`] and the shutdown
-/// [`FrontendStats`]: plain per-front-end atomics, updated on the
+/// The shared tallies behind every [`StatsSnapshot`]: plain
+/// per-front-end atomics, updated on the
 /// admission and worker paths with relaxed ordering (each field is an
 /// independent monotone tally or gauge; cross-field consistency is not
 /// promised and not needed).
@@ -538,7 +497,7 @@ pub struct Frontend {
 
 impl Frontend {
     /// Spawn the consumer thread. `factory` runs *on the worker* to build
-    /// the scorer there (engines are not `Send`); `responses` receives
+    /// the scorer there (the engine is not `Send`); `responses` receives
     /// every scored [`Response`] in flush order. Errors only if the OS
     /// refuses the thread.
     // om-lint: allow(thread-spawn) — this *is* the sanctioned spawn point:
@@ -786,12 +745,12 @@ impl Frontend {
     }
 
     /// Stop accepting work, drain everything already accepted, join the
-    /// worker, and return the tallies. Closing the admission gate first
-    /// and *then* enqueueing the stop marker guarantees the marker queues
-    /// behind every accepted request — none are dropped. If any flush
-    /// errored, the flight recorder is dumped as a postmortem. Errors
-    /// only if the worker itself panicked.
-    pub fn shutdown(self) -> Result<FrontendStats, ServeError> {
+    /// worker, and return the final [`StatsSnapshot`]. Closing the
+    /// admission gate first and *then* enqueueing the stop marker
+    /// guarantees the marker queues behind every accepted request — none
+    /// are dropped. If any flush errored, the flight recorder is dumped as
+    /// a postmortem. Errors only if the worker itself panicked.
+    pub fn shutdown(self) -> Result<StatsSnapshot, ServeError> {
         {
             let mut closed = gate_lock(&self.handle.closed);
             *closed = true;
@@ -810,6 +769,6 @@ impl Frontend {
         if snap.scorer_errors > 0 {
             let _ = om_obs::flightrec::dump("shutdown_with_errors");
         }
-        Ok(snap.stats())
+        Ok(snap)
     }
 }

@@ -11,35 +11,35 @@
 //! 1. [`loader`] — rebuild the model from an OMCK v2 checkpoint (either a
 //!    trainer epoch checkpoint or [`export_checkpoint`]'s minimal file);
 //! 2. [`arena`] — offline precompute: every target-domain item (and every
-//!    warm user) is encoded **once** into a contiguous `[n, dim]` f32
-//!    arena, so a request never re-runs the item tower;
+//!    warm user) is encoded **once** into a contiguous `[n, dim]` arena
+//!    (one generic [`arena::Arena`]; [`ItemArena`]/[`UserArena`] are its
+//!    aliases), so a request never re-runs the item tower;
 //! 3. [`batcher`] — microbatching: requests accumulate until
 //!    `OM_SERVE_BATCH` are pending or the oldest has waited
 //!    `OM_SERVE_WAIT_US`, then score as one batch;
-//! 4. [`engine`] — per flush, each request's rating-head user partial
-//!    once, then per item shard the head resumed from it over the item
+//! 4. [`engine`] — [`ServeEngine`], the one scoring engine. Per flush,
+//!    each request's rating-head user partial once, then per item shard
+//!    of `OM_SERVE_SHARD` rows the head resumed from it over the item
 //!    rows (no cross join is built; scores stay bitwise equal to the
-//!    `pair_rows` → `rating_logits_from_pairs` reference), then sharded
-//!    top-K per request via `om_metrics::topk` (the same selection the
-//!    offline tables use).
+//!    `pair_rows` → `rating_logits_from_pairs` reference) and a per-shard
+//!    top-K via `om_metrics::topk` (the same selection the offline tables
+//!    use), merged per request by `om_metrics::merge_top_k` — bitwise
+//!    identical at any shard width (see `engine`'s docs for the argument
+//!    and `tests/sharded_diff.rs` for the proof).
 //!
-//! Million-scale serving layers three more pieces on top, none of which
+//! Million-scale serving layers two more pieces on top, neither of which
 //! may change a single result bit:
 //!
 //! 5. [`blob`]/[`mmap`] — arenas persist as length/CRC-framed `OMAB`
 //!    blobs, loaded all-or-nothing and memory-mapped so cold start is
 //!    O(pages touched), not O(catalogue);
-//! 6. [`shard`] — [`ShardedEngine`] scores the catalogue in fixed-width
-//!    item shards with per-shard top-K merged by `om_metrics::merge_top_k`
-//!    (bitwise identical to the single-arena path — see `shard`'s docs
-//!    for the argument and `tests/sharded_diff.rs` for the proof);
-//! 7. [`frontend`] — a bounded-queue threaded front-end with admission
+//! 6. [`frontend`] — a bounded-queue threaded front-end with admission
 //!    control: full queue means a typed rejection, shutdown drains every
-//!    accepted request.
+//!    accepted request and returns the final [`StatsSnapshot`].
 //!
 //! Live traffic closes the cold-start loop:
 //!
-//! 8. [`update`] — streamed target-domain interactions
+//! 7. [`update`] — streamed target-domain interactions
 //!    ([`FrontendHandle::submit_interaction`]) buffer per user; at
 //!    `OM_SERVE_WARM_AFTER` interactions the user's row is re-encoded
 //!    (user tower only) into a shadow [`UserArena`] and hot-swapped in as
@@ -47,7 +47,7 @@
 //!    mixed-generation arena, and the user has graduated cold→warm
 //!    (`serve.graduations`).
 //!
-//! The hot path (`engine`/`shard`/`frontend`/`batcher`) is panic-free by
+//! The hot path (`engine`/`frontend`/`batcher`/`update`) is panic-free by
 //! policy — om-lint's `panic-freedom` pass bans `unwrap`/`expect`/
 //! panicking macros/direct indexing there — so every fallible step
 //! surfaces as a typed [`ServeError`] instead of killing the worker.
@@ -69,18 +69,15 @@ pub mod frontend;
 pub mod loader;
 pub mod mmap;
 pub mod quant;
-pub mod shard;
 pub mod update;
 
 pub use arena::{ItemArena, UserArena};
 pub use batcher::Microbatcher;
-pub use blob::{ArenaBlob, BlobError, BlobKind, Verify};
-pub use engine::{Request, Response, ServeEngine, ServeOptions};
+pub use blob::{BlobError, BlobKind, Verify};
+pub use engine::{Request, Response, ServeEngine, ServeOptions, ShardedEngine};
 pub use error::ServeError;
 pub use frontend::{
-    BatchScorer, Frontend, FrontendHandle, FrontendOptions, FrontendStats, StatsSnapshot,
-    SubmitError,
+    BatchScorer, Frontend, FrontendHandle, FrontendOptions, StatsSnapshot, SubmitError,
 };
 pub use loader::{load_model, load_model_file};
-pub use shard::ShardedEngine;
 pub use update::{ArenaGeneration, ArenaSwap, InteractionStore, UpdateOutcome, UserEvent};

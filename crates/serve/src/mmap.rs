@@ -9,12 +9,14 @@
 //! in place — [`Mmap::open`] degrades to an eager heap read with the same
 //! API and the same bytes, so every caller and test is portable.
 //!
-//! This file and `om_tensor::runtime` are the only modules allowed to
-//! contain `unsafe` (om-lint's `unsafe-confinement` pass enforces the
-//! allowlist); every site carries a `// SAFETY:` argument.
+//! This file, `om_tensor::runtime` and `om_tensor::simd` are the only
+//! modules allowed to contain `unsafe` (om-lint's `unsafe-confinement`
+//! pass enforces the allowlist); every site carries a `// SAFETY:`
+//! argument.
 
 use std::fs::File;
 use std::io;
+use std::marker::PhantomData;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -157,88 +159,73 @@ impl Drop for Mmap {
     }
 }
 
-/// A `[f32]` window into an [`Mmap`], kept alive by an `Arc` — the
-/// zero-copy backing a mapped arena hands to the scoring kernels.
-pub struct F32View {
+/// Element types a [`MapView`] may reinterpret mapped bytes as.
+///
+/// # Safety
+///
+/// Every bit pattern of `size_of::<Self>()` bytes must be a valid value
+/// of the type, which must own no memory.
+// SAFETY: declaring the trait is sound by itself; each `unsafe impl`
+// below argues the condition above for its type.
+pub(crate) unsafe trait Plain: Copy {}
+
+// SAFETY: every 32-bit pattern is a valid f32 (NaN payloads included).
+unsafe impl Plain for f32 {}
+
+// SAFETY: every byte is a valid i8.
+unsafe impl Plain for i8 {}
+
+/// A `[T]` window into an [`Mmap`], kept alive by an `Arc` — the
+/// zero-copy backing a mapped arena hands to the scoring kernels (f32
+/// feature rows and scales, int8 codes).
+pub(crate) struct MapView<T: Plain> {
     map: Arc<Mmap>,
     byte_off: usize,
     len: usize,
+    elem: PhantomData<T>,
 }
 
-impl F32View {
-    /// A view of `len` f32s starting `byte_off` bytes into the map. The
-    /// range must be in bounds and 4-byte aligned relative to the map
-    /// base (mmap bases are page-aligned, so absolute alignment follows);
-    /// the caller (the blob loader) has already validated both, and this
-    /// re-checks rather than trusts.
+impl<T: Plain> MapView<T> {
+    /// A view of `len` elements starting `byte_off` bytes into the map.
+    /// The range must be in bounds and aligned for `T` relative to the
+    /// map base (mmap bases are page-aligned, so absolute alignment
+    /// follows); the caller (the blob loader) has already validated
+    /// both, and this re-checks rather than trusts.
     ///
-    /// Only valid on little-endian targets, where the on-disk f32-le
-    /// representation *is* the in-memory one; the blob loader routes
-    /// big-endian targets through an owned decode instead.
-    pub fn new(map: Arc<Mmap>, byte_off: usize, len: usize) -> F32View {
-        // Runtime (not const) assert: the blob loader compiles this call
-        // on every target and routes big-endian ones away at runtime.
-        #[allow(clippy::assertions_on_constants)]
-        {
-            assert!(
-                cfg!(target_endian = "little"),
-                "zero-copy f32 views require a little-endian target"
-            );
-        }
-        let bytes = map.as_bytes();
-        let end = byte_off
-            .checked_add(len * std::mem::size_of::<f32>())
-            .expect("f32 view length overflow");
-        assert!(end <= bytes.len(), "f32 view out of bounds");
+    /// Multi-byte elements are only valid on little-endian targets, where
+    /// the on-disk little-endian representation *is* the in-memory one;
+    /// the blob loader routes big-endian targets through an owned decode
+    /// instead. Single bytes have no byte order.
+    pub(crate) fn new(map: Arc<Mmap>, byte_off: usize, len: usize) -> MapView<T> {
+        let size = std::mem::size_of::<T>();
         assert!(
-            (bytes.as_ptr() as usize + byte_off).is_multiple_of(std::mem::align_of::<f32>()),
-            "f32 view misaligned"
+            size == 1 || cfg!(target_endian = "little"),
+            "zero-copy multi-byte views require a little-endian target"
         );
-        F32View { map, byte_off, len }
-    }
-
-    /// The f32 slice.
-    pub fn as_slice(&self) -> &[f32] {
-        let bytes = self.map.as_bytes();
-        // SAFETY: the constructor checked that `byte_off..byte_off+4*len`
-        // is in bounds of the map and that the start address is 4-byte
-        // aligned, the map lives as long as `self` via the `Arc`, and on
-        // the little-endian targets the constructor admits, any 4 bytes
-        // are a valid f32 bit pattern.
-        unsafe {
-            std::slice::from_raw_parts(bytes.as_ptr().add(self.byte_off) as *const f32, self.len)
-        }
-    }
-}
-
-/// An `[i8]` window into an [`Mmap`], kept alive by an `Arc` — the
-/// zero-copy backing of a quantised arena's int8 row payload. Unlike
-/// [`F32View`] there is no alignment or endianness concern: every byte is
-/// a valid `i8` and single bytes have no byte order.
-pub struct I8View {
-    map: Arc<Mmap>,
-    byte_off: usize,
-    len: usize,
-}
-
-impl I8View {
-    /// A view of `len` i8s starting `byte_off` bytes into the map. The
-    /// range must be in bounds; the caller (the blob loader) has already
-    /// validated it, and this re-checks rather than trusts.
-    pub fn new(map: Arc<Mmap>, byte_off: usize, len: usize) -> I8View {
         let bytes = map.as_bytes();
-        let end = byte_off.checked_add(len).expect("i8 view length overflow");
-        assert!(end <= bytes.len(), "i8 view out of bounds");
-        I8View { map, byte_off, len }
+        let end = len
+            .checked_mul(size)
+            .and_then(|n| byte_off.checked_add(n))
+            .expect("mapped view length overflow");
+        assert!(end <= bytes.len(), "mapped view out of bounds");
+        assert!(
+            (bytes.as_ptr() as usize + byte_off).is_multiple_of(std::mem::align_of::<T>()),
+            "mapped view misaligned"
+        );
+        MapView { map, byte_off, len, elem: PhantomData }
     }
 
-    /// The i8 slice.
-    pub fn as_slice(&self) -> &[i8] {
+    /// The element slice.
+    pub(crate) fn as_slice(&self) -> &[T] {
         let bytes = self.map.as_bytes();
-        // SAFETY: the constructor checked that `byte_off..byte_off+len`
-        // is in bounds of the map, the map lives as long as `self` via
-        // the `Arc`, `i8` has alignment 1, and any byte is a valid i8.
-        unsafe { std::slice::from_raw_parts(bytes.as_ptr().add(self.byte_off) as *const i8, self.len) }
+        // SAFETY: the constructor checked that
+        // `byte_off..byte_off + len * size_of::<T>()` is in bounds of the
+        // map and that the start address is aligned for `T`; the map
+        // lives as long as `self` via the `Arc`; `T: Plain` makes any bit
+        // pattern a valid `T`; and the constructor admits multi-byte
+        // elements only on little-endian targets, where the on-disk order
+        // is the in-memory one.
+        unsafe { std::slice::from_raw_parts(bytes.as_ptr().add(self.byte_off) as *const T, self.len) }
     }
 }
 
@@ -285,7 +272,7 @@ mod tests {
         }
         let path = tmp_file("f32s.bin", &bytes);
         let map = Arc::new(Mmap::open(&path).expect("open"));
-        let view = F32View::new(map, 8, vals.len());
+        let view = MapView::<f32>::new(map, 8, vals.len());
         assert_eq!(view.as_slice(), &vals[..]);
     }
 
@@ -294,6 +281,6 @@ mod tests {
     fn f32_view_rejects_out_of_bounds() {
         let path = tmp_file("short.bin", &[0u8; 16]);
         let map = Arc::new(Mmap::open(&path).expect("open"));
-        let _ = F32View::new(map, 8, 3);
+        let _ = MapView::<f32>::new(map, 8, 3);
     }
 }

@@ -16,8 +16,9 @@
 //! `scale / 2 = max(|row|) / 254` — under 0.4% of the row's dynamic
 //! range. Dequantization is exact in f32 (`i8 → f32` is exact; one
 //! rounded multiply), so the scalar and AVX2 `dequant_rows` paths are
-//! bitwise identical and the sharded quantized engine matches the
-//! unsharded quantized engine bit for bit. What quantization *does* move
+//! bitwise identical (their serial twin `dequant_rows_serial` is the
+//! scalar reference) and the quantized engine gives the same bits at
+//! every shard width. What quantization *does* move
 //! is the score itself relative to the f32 engine; `om-smoke serve` and
 //! `tests/quant_diff.rs` hold that drift under the committed bounds
 //! below.
@@ -73,14 +74,6 @@ pub fn quantize_rows(data: &[f32], n: usize, dim: usize) -> (Vec<i8>, Vec<f32>) 
         scales.resize(n, 0.0);
     }
     (q, scales)
-}
-
-/// Dequantize one `[dim]` row into `dst` (cleared first) — the scalar
-/// reference the arena's hot path (`om_tensor::kernels::dequant_rows`)
-/// matches bitwise.
-pub fn dequantize_row_into(q: &[i8], scale: f32, dst: &mut Vec<f32>) {
-    dst.clear();
-    dst.extend(q.iter().map(|&c| c as f32 * scale));
 }
 
 #[cfg(test)]

@@ -112,16 +112,16 @@ fn full_queue_is_a_typed_rejection_not_a_panic_or_a_block() {
     drop(gate_tx);
     let stats = fe.shutdown().expect("shutdown");
     assert_eq!(stats.served, 1 + cap as u64);
-    assert_eq!(stats.rejected, 2);
+    assert_eq!(stats.rejected_full, 2);
     let mut got: Vec<u64> = resp_rx.iter().map(|r| r.id).collect();
     got.sort_unstable();
     assert_eq!(got, vec![0, 1, 2, 3]);
 
     // The handle outlives the front-end; its post-shutdown snapshot must
-    // agree with the shutdown stats *exactly* — both read the same
-    // atomics, so disagreement is impossible by construction.
+    // equal the final snapshot shutdown returned *exactly* — both read
+    // the same atomics, so disagreement is impossible by construction.
     let after = handle.stats_snapshot();
-    assert_eq!(after.stats(), stats);
+    assert_eq!(after, stats);
     assert_eq!(after.in_flight, 0, "everything accepted was replied to");
     assert_eq!(after.queue_depth, 0);
     assert!(!after.worker_alive, "worker exited at shutdown");

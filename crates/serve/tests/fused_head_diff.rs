@@ -2,7 +2,7 @@
 //! reference decomposition `pair_rows` → `rating_logits_from_pairs` →
 //! `expected_stars`, **bitwise**.
 //!
-//! The engines never build the cross join. They resume layer 1's sum
+//! The engine never builds the cross join. They resume layer 1's sum
 //! from a per-request user partial (`omnimatch_core::PairBlockScorer`),
 //! which is exact only because `gemm` continues each element's sum in `p`
 //! order from the value already in `c`. These cases hold that to the
@@ -18,9 +18,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 use om_data::synth_feature_rows;
 use om_data::types::{ItemId, UserId};
 use om_data::{CrossDomainScenario, SplitConfig, SynthConfig, SynthWorld};
-use om_serve::{
-    load_model, ItemArena, Request, ServeEngine, ServeError, ServeOptions, ShardedEngine, UserArena,
-};
+use om_serve::{load_model, ItemArena, Request, ServeEngine, ServeError, ServeOptions, UserArena};
 use om_tensor::{kernels, runtime, seeded_rng, Tensor};
 use omnimatch_core::{CorpusViews, OmniMatchConfig, OmniMatchModel, Trainer};
 use proptest::prelude::*;
@@ -81,17 +79,14 @@ impl Ctx {
         load_model(&self.cfg, self.vocab_size, &self.ckpt).expect("decode checkpoint")
     }
 
-    fn engine(&self, items: ItemArena, users: UserArena, opts: ServeOptions) -> ShardedEngine {
+    fn engine(&self, items: ItemArena, users: UserArena, opts: ServeOptions) -> ServeEngine {
         let views = CorpusViews::build(&self.scenario, &self.cfg, &mut seeded_rng(self.cfg.seed));
-        ShardedEngine::new(ServeEngine::with_arenas(
-            self.model(),
-            views,
-            items,
-            users,
-            opts,
-        ))
+        ServeEngine::with_arenas(self.model(), views, items, users, opts)
     }
 }
+
+/// A shard width no catalogue reaches: the whole arena is one shard.
+const ONE_SHARD: usize = usize::MAX;
 
 /// ReLU-like feature rows: negatives clamp to exact zeros, and every
 /// `zero_row_every`-th row is zero throughout.
@@ -146,21 +141,25 @@ proptest! {
     ) {
         with_ctx(|ctx| {
             let (du, di) = (ctx.user_dim(), ctx.cfg.item_dim);
-            let mut items = ItemArena::from_raw(
-                (0..n_items as u32).map(ItemId).collect(),
-                relu_rows(n_items, di, seed, zero_row_every),
-                di,
-            );
             let user_ids: Vec<UserId> = (0..n_users as u32).map(UserId).collect();
-            let mut users = UserArena::from_raw(
-                user_ids.clone(),
-                relu_rows(n_users, du, seed ^ 0x5EED, zero_row_every),
-                du,
-            );
-            if quantized == 1 {
-                items = items.quantized();
-                users = users.quantized();
-            }
+            let arenas = || {
+                let items = ItemArena::from_raw(
+                    (0..n_items as u32).map(ItemId).collect(),
+                    relu_rows(n_items, di, seed, zero_row_every),
+                    di,
+                );
+                let users = UserArena::from_raw(
+                    user_ids.clone(),
+                    relu_rows(n_users, du, seed ^ 0x5EED, zero_row_every),
+                    du,
+                );
+                if quantized == 1 {
+                    (items.quantized(), users.quantized())
+                } else {
+                    (items, users)
+                }
+            };
+            let (items, users) = arenas();
             // The reference reads exactly what the engine reads: int8 rows
             // dequantized through the same arena accessors.
             let mut scratch = Vec::new();
@@ -172,7 +171,9 @@ proptest! {
             let want = reference(&ctx.model(), &user_rows, &item_rows, du, di);
 
             let opts = ServeOptions { topk: k, shard_items: shard_width, ..ServeOptions::default() };
-            let engine = ctx.engine(items, users, opts);
+            let engine = ctx.engine(items, users, opts.clone());
+            let (items, users) = arenas();
+            let one_shard = ctx.engine(items, users, ServeOptions { shard_items: ONE_SHARD, ..opts });
             let reqs: Vec<Request> = user_ids
                 .iter()
                 .enumerate()
@@ -182,16 +183,16 @@ proptest! {
             let _g = thread_lock();
             let prev = runtime::set_threads(threads);
             let served = engine.serve_batch(&reqs).expect("serve batch");
-            let single = engine.inner().serve_batch(&reqs).expect("serve batch (one shard)");
+            let single = one_shard.serve_batch(&reqs).expect("serve batch (one shard)");
             for (b, &u) in user_ids.iter().enumerate() {
                 let row = &want[b * n_items..(b + 1) * n_items];
                 assert_bits(&engine.score_user(u).expect("score user"), row, "sharded score_user");
                 assert_bits(
-                    &engine.inner().score_user(u).expect("score user"),
+                    &one_shard.score_user(u).expect("score user"),
                     row,
-                    "single-arena score_user",
+                    "one-shard score_user",
                 );
-                // Both engines' top-K must be the reference row's top-K.
+                // Both widths' top-K must be the reference row's top-K.
                 let top: Vec<(ItemId, f32)> = om_metrics::top_k_indices(row, k)
                     .into_iter()
                     .map(|i| (ItemId(i as u32), row[i]))
@@ -225,7 +226,7 @@ fn arena_width_mismatch_is_a_typed_error_not_a_panic() {
             expected,
             got,
         };
-        // (user arena width, item arena width, the error both engines owe)
+        // (user arena width, item arena width, the error every path owes)
         let cases = [
             (0, di, err("user", du, 0)),
             (du + 1, di, err("user", du, du + 1)),
@@ -250,23 +251,15 @@ fn arena_width_mismatch_is_a_typed_error_not_a_panic() {
             assert_eq!(
                 engine.serve_batch(&[req]).err(),
                 Some(want.clone()),
-                "sharded serve_batch"
+                "serve_batch"
             );
             assert_eq!(
                 engine.score_user(user).err(),
                 Some(want.clone()),
-                "sharded score_user"
+                "score_user"
             );
-            assert_eq!(
-                engine.inner().serve_one(req).err(),
-                Some(want.clone()),
-                "single serve_one"
-            );
-            assert_eq!(
-                engine.inner().oracle_rank(user).err(),
-                Some(want),
-                "oracle_rank"
-            );
+            assert_eq!(engine.serve_one(req).err(), Some(want.clone()), "serve_one");
+            assert_eq!(engine.oracle_rank(user).err(), Some(want), "oracle_rank");
         }
     });
 }

@@ -9,8 +9,8 @@ use om_data::synth_feature_rows;
 use om_data::types::{ItemId, UserId};
 use om_data::{SplitConfig, SynthConfig, SynthWorld};
 use om_serve::{
-    load_model, BlobError, BlobKind, ItemArena, Request, ServeEngine, ServeOptions, ShardedEngine,
-    UserArena, Verify,
+    load_model, BlobError, BlobKind, ItemArena, Request, ServeEngine, ServeOptions, UserArena,
+    Verify,
 };
 use om_tensor::seeded_rng;
 use omnimatch_core::{CorpusViews, OmniMatchConfig, Trainer};
@@ -23,6 +23,19 @@ fn tmp_dir(tag: &str) -> PathBuf {
 
 const ITEM_DIM: usize = 12; // OmniMatchConfig::fast() dims
 const USER_DIM: usize = 24;
+
+/// Every row of `arena`, as f32 — the storage-agnostic read the engine
+/// does.
+fn all_rows(arena: &ItemArena) -> Vec<f32> {
+    let mut scratch = Vec::new();
+    arena.rows_f32(0, arena.len(), &mut scratch).to_vec()
+}
+
+/// `user`'s row, if the arena has one.
+fn user_row(arena: &UserArena, user: UserId) -> Option<Vec<f32>> {
+    let mut row = vec![0.0f32; arena.dim()];
+    arena.copy_row_into(user, &mut row).then_some(row)
+}
 
 fn sample_arenas(n_items: usize, n_users: usize) -> (ItemArena, UserArena) {
     let items = ItemArena::from_raw(
@@ -57,15 +70,17 @@ fn roundtrip_preserves_ids_dims_and_every_data_bit() {
     assert_eq!(mapped_items.dim(), items.dim());
     assert_eq!(mapped_users.len(), users.len());
     assert_eq!(mapped_users.dim(), users.dim());
-    for (a, b) in items.data().iter().zip(mapped_items.data()) {
+    let (a, b) = (all_rows(&items), all_rows(&mapped_items));
+    assert_eq!(a.len(), b.len());
+    for (a, b) in a.iter().zip(&b) {
         assert_eq!(a.to_bits(), b.to_bits());
     }
     for i in 0..items.len() {
         assert_eq!(items.id_at(i), mapped_items.id_at(i));
     }
     for &u in users.ids() {
-        let (a, b) = (users.row(u).expect("row"), mapped_users.row(u).expect("row"));
-        assert!(a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()));
+        let (a, b) = (user_row(&users, u).expect("row"), user_row(&mapped_users, u).expect("row"));
+        assert!(a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits()));
     }
     // Feature bits survive even when poisoned with NaN payloads.
     let mut weird = synth_feature_rows(5, ITEM_DIM, 1);
@@ -75,8 +90,9 @@ fn roundtrip_preserves_ids_dims_and_every_data_bit() {
     let arena = ItemArena::from_raw((0..5).map(ItemId).collect(), weird.clone(), ITEM_DIM);
     let wpath = dir.join("weird.omab");
     arena.write_blob(&wpath).expect("write");
-    let back = ItemArena::load_blob(&wpath, Verify::Full).expect("load");
-    for (a, b) in weird.iter().zip(back.data()) {
+    let back = all_rows(&ItemArena::load_blob(&wpath, Verify::Full).expect("load"));
+    assert_eq!(back.len(), weird.len());
+    for (a, b) in weird.iter().zip(&back) {
         assert_eq!(a.to_bits(), b.to_bits());
     }
 }
@@ -99,8 +115,7 @@ fn mapped_and_in_memory_arenas_serve_bitwise_identical_responses() {
     users.write_blob(&upath).expect("write users");
 
     let opts = ServeOptions { shard_items: 64, ..ServeOptions::default() };
-    let in_memory =
-        ShardedEngine::new(ServeEngine::with_arenas(model, views, items, users, opts.clone()));
+    let in_memory = ServeEngine::with_arenas(model, views, items, users, opts.clone());
 
     // A second process's cold start: model from the checkpoint, arenas
     // memory-mapped from the blobs (Quick — the production verify level).
@@ -108,8 +123,7 @@ fn mapped_and_in_memory_arenas_serve_bitwise_identical_responses() {
     let views2 = CorpusViews::build(&scenario, &cfg, &mut seeded_rng(cfg.seed));
     let items2 = ItemArena::load_blob(&ipath, Verify::Quick).expect("map items");
     let users2 = UserArena::load_blob(&upath, Verify::Quick).expect("map users");
-    let mapped =
-        ShardedEngine::new(ServeEngine::with_arenas(model2, views2, items2, users2, opts));
+    let mapped = ServeEngine::with_arenas(model2, views2, items2, users2, opts);
 
     let reqs: Vec<Request> = (0..17)
         .map(|i| Request { id: i as u64, user: UserId(i as u32), arrive_us: 0 })
@@ -131,6 +145,47 @@ fn mapped_and_in_memory_arenas_serve_bitwise_identical_responses() {
         let rb = mapped.score_user(req.user).expect("score user");
         assert!(ra.iter().zip(&rb).all(|(x, y)| x.to_bits() == y.to_bits()));
     }
+}
+
+/// The writer's exact output for two tiny arenas, pinned byte for byte:
+/// a v1 item blob and a v2 (quantized) user blob, two rows of width 2
+/// each. Any change to the OMAB layout, its CRCs or the quantizer shows
+/// up here as a byte diff.
+#[test]
+fn two_row_blobs_match_their_golden_bytes() {
+    let dir = tmp_dir("golden");
+    let items = ItemArena::from_raw(vec![ItemId(7), ItemId(3)], vec![1.0, -2.0, 0.5, 0.0], 2);
+    let users =
+        UserArena::from_raw(vec![UserId(5), UserId(258)], vec![1.0, -2.0, 0.25, 0.5], 2)
+            .quantized();
+    #[rustfmt::skip]
+    let v1: [u8; 64] = [
+        0x4f, 0x4d, 0x41, 0x42, 0x01, 0x00, 0x00, 0x00, // "OMAB", version 1
+        0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, // kind items, dim 2
+        0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // n = 2
+        0x9e, 0x79, 0x52, 0x7d, 0xb2, 0xb0, 0x77, 0xd4, // ids crc, data crc
+        0x7f, 0xf5, 0x6e, 0x32, 0x00, 0x00, 0x00, 0x00, // header crc, pad
+        0x07, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, // ids 7, 3
+        0x00, 0x00, 0x80, 0x3f, 0x00, 0x00, 0x00, 0xc0, // row 0: 1.0, -2.0
+        0x00, 0x00, 0x00, 0x3f, 0x00, 0x00, 0x00, 0x00, // row 1: 0.5, 0.0
+    ];
+    #[rustfmt::skip]
+    let v2: [u8; 60] = [
+        0x4f, 0x4d, 0x41, 0x42, 0x02, 0x00, 0x00, 0x00, // "OMAB", version 2
+        0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, // kind users, dim 2
+        0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // n = 2
+        0xb1, 0x73, 0x09, 0x86, 0x33, 0x4e, 0x95, 0xba, // ids crc, data crc
+        0x06, 0x73, 0xe3, 0x40, 0x00, 0x00, 0x00, 0x00, // header crc, pad
+        0x05, 0x00, 0x00, 0x00, 0x02, 0x01, 0x00, 0x00, // ids 5, 258
+        0x04, 0x02, 0x81, 0x3c, 0x04, 0x02, 0x81, 0x3b, // scales 2/127, 0.5/127
+        0x40, 0x81, 0x40, 0x7f,                         // codes 64, -127 | 64, 127
+    ];
+    let ipath = dir.join("items.omab");
+    let upath = dir.join("users.q8.omab");
+    items.write_blob(&ipath).expect("write items");
+    users.write_blob(&upath).expect("write users");
+    assert_eq!(std::fs::read(&ipath).expect("read items"), v1, "v1 bytes moved");
+    assert_eq!(std::fs::read(&upath).expect("read users"), v2, "v2 bytes moved");
 }
 
 // ---------------------------------------------------------------------------
@@ -232,6 +287,56 @@ fn payload_corruption_fails_the_section_crcs_in_full_mode() {
     assert!(ItemArena::load_blob(&path, Verify::Quick).is_ok());
 }
 
+/// Set the id at arena row `row` of the blob at `path` to `id`, then
+/// re-seal the ids CRC and the header CRC, so that only the loader's
+/// duplicate check can object to the result.
+fn patch_id(path: &Path, row: usize, id: u32) {
+    let mut bytes = std::fs::read(path).expect("read blob");
+    let n = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes")) as usize;
+    let off = 40 + row * 4;
+    bytes[off..off + 4].copy_from_slice(&id.to_le_bytes());
+    let ids_crc = om_nn::serialize::crc32(&bytes[40..40 + n * 4]);
+    bytes[24..28].copy_from_slice(&ids_crc.to_le_bytes());
+    let header_crc = om_nn::serialize::crc32(&bytes[0..32]);
+    bytes[32..36].copy_from_slice(&header_crc.to_le_bytes());
+    std::fs::write(path, &bytes).expect("write patched blob");
+}
+
+#[test]
+fn duplicate_ids_are_a_typed_error_in_both_verify_modes() {
+    // Quick mode does not check the ids CRC, so one flipped bit there can
+    // turn an id into its neighbour's; the loader must refuse the blob
+    // with a typed error, not panic the cold start.
+    let dir = tmp_dir("dup-ids");
+    let (items, users) = sample_arenas(6, 6);
+    for quantized in [false, true] {
+        let ipath = dir.join(format!("items-{quantized}.omab"));
+        let upath = dir.join(format!("users-{quantized}.omab"));
+        if quantized {
+            items.quantized().write_blob(&ipath).expect("write items");
+            users.quantized().write_blob(&upath).expect("write users");
+        } else {
+            items.write_blob(&ipath).expect("write items");
+            users.write_blob(&upath).expect("write users");
+        }
+        // Rows 2 and 4 now both carry id 2.
+        patch_id(&ipath, 4, 2);
+        patch_id(&upath, 4, 2);
+        for verify in [Verify::Quick, Verify::Full] {
+            assert_eq!(
+                ItemArena::load_blob(&ipath, verify).err(),
+                Some(BlobError::DuplicateId(2)),
+                "items, quantized={quantized}, {verify:?}"
+            );
+            assert_eq!(
+                UserArena::load_blob(&upath, verify).err(),
+                Some(BlobError::DuplicateId(2)),
+                "users, quantized={quantized}, {verify:?}"
+            );
+        }
+    }
+}
+
 #[test]
 fn loading_a_blob_as_the_wrong_arena_kind_is_an_error() {
     let dir = tmp_dir("kind");
@@ -282,7 +387,7 @@ fn empty_user_arena_roundtrips_in_both_verify_modes() {
         assert_eq!(back.len(), 0);
         assert_eq!(back.dim(), USER_DIM);
         assert!(back.ids().is_empty());
-        assert_eq!(back.row(UserId(0)), None, "no row in an empty arena");
+        assert_eq!(user_row(&back, UserId(0)), None, "no row in an empty arena");
     }
 
     // Kind tagging still applies to the degenerate blob.

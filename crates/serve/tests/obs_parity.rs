@@ -10,10 +10,11 @@ use std::time::Duration;
 use om_data::types::UserId;
 use om_data::{SplitConfig, SynthConfig, SynthWorld};
 use om_serve::{
-    BatchScorer, Frontend, FrontendOptions, Request, Response, ServeEngine, ServeError,
-    ServeOptions, ShardedEngine,
+    load_model, BatchScorer, Frontend, FrontendOptions, Request, Response, ServeEngine, ServeError,
+    ServeOptions,
 };
-use omnimatch_core::{OmniMatchConfig, Trainer};
+use om_tensor::seeded_rng;
+use omnimatch_core::{CorpusViews, OmniMatchConfig, Trainer};
 
 fn assert_bitwise_equal(a: &[Response], b: &[Response]) {
     assert_eq!(a.len(), b.len());
@@ -38,31 +39,36 @@ fn assert_bitwise_equal(a: &[Response], b: &[Response]) {
 fn observability_does_not_perturb_serving() {
     let world = SynthWorld::generate(SynthConfig::tiny(), &["Books", "Movies"]);
     let scenario = world.scenario("Books", "Movies", SplitConfig::default());
-    let trained = Trainer::new(OmniMatchConfig::fast().with_seed(31)).fit(&scenario);
-    let warm = scenario.train_users.clone();
-    let (model, views, _) = trained.into_parts();
+    let cfg = OmniMatchConfig::fast().with_seed(31);
+    let trained = Trainer::new(cfg.clone()).fit(&scenario);
+    let ckpt = trained.export_checkpoint().to_vec();
+    let (_, views, _) = trained.into_parts();
+    let vocab_size = views.vocab.len();
     let users = views.users().to_vec();
-    let engine = ServeEngine::new(model, views, &warm, ServeOptions::default());
     let reqs: Vec<Request> = users
         .iter()
         .enumerate()
         .map(|(i, &u)| Request { id: i as u64, user: u, arrive_us: 0 })
         .collect();
 
-    let prev = om_obs::set_enabled(true);
-    let on = engine.serve_batch(&reqs).expect("serve with telemetry on");
-    om_obs::set_enabled(false);
-    let off = engine.serve_batch(&reqs).expect("serve with telemetry off");
-    assert_bitwise_equal(&on, &off);
-
-    // Same through the sharded path (its own stage recording).
-    let sharded = ShardedEngine::new(engine);
-    om_obs::set_enabled(true);
-    let on = sharded.serve_batch(&reqs).expect("sharded, telemetry on");
-    om_obs::set_enabled(false);
-    let off = sharded.serve_batch(&reqs).expect("sharded, telemetry off");
-    om_obs::set_enabled(prev);
-    assert_bitwise_equal(&on, &off);
+    // The default width holds the whole tiny catalogue in one shard; the
+    // second width splits it into several, so the per-shard top-K and
+    // the merge run under both telemetry settings too.
+    for shard_items in [ServeOptions::default().shard_items, 7] {
+        let model = load_model(&cfg, vocab_size, &ckpt).expect("decode checkpoint");
+        let views = CorpusViews::build(&scenario, &cfg, &mut seeded_rng(cfg.seed));
+        let opts = ServeOptions { shard_items, ..ServeOptions::default() };
+        let engine = ServeEngine::new(model, views, &scenario.train_users, opts);
+        if shard_items == 7 {
+            assert!(engine.catalogue_len() > 2 * shard_items, "width 7 must split the catalogue");
+        }
+        let prev = om_obs::set_enabled(true);
+        let on = engine.serve_batch(&reqs).expect("serve with telemetry on");
+        om_obs::set_enabled(false);
+        let off = engine.serve_batch(&reqs).expect("serve with telemetry off");
+        om_obs::set_enabled(prev);
+        assert_bitwise_equal(&on, &off);
+    }
 }
 
 /// A deterministic stub scorer: responses are a pure function of the

@@ -196,12 +196,18 @@ fn duplicated_warm_ids_collapse_preserving_first_occurrence_order() {
     assert_eq!(deduped.len(), clean.len(), "duplicates inflated the arena");
     assert_eq!(deduped.ids(), clean.ids(), "dedupe broke first-occurrence order");
     for &u in clean.ids() {
-        let a = deduped.row(u).expect("row in deduped arena");
-        let b = clean.row(u).expect("row in clean arena");
-        for (x, y) in a.iter().zip(b) {
+        let a = row(&deduped, u).expect("row in deduped arena");
+        let b = row(&clean, u).expect("row in clean arena");
+        for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.to_bits(), y.to_bits(), "row bits differ for user {u:?}");
         }
     }
+}
+
+/// `user`'s row, if the arena has one.
+fn row(arena: &UserArena, user: UserId) -> Option<Vec<f32>> {
+    let mut out = vec![0.0f32; arena.dim()];
+    arena.copy_row_into(user, &mut out).then_some(out)
 }
 
 #[test]
@@ -213,8 +219,8 @@ fn with_row_overwrites_in_place_and_appends_at_the_end() {
     let overwritten = arena.with_row(UserId(1), &[9.0, 8.0, 7.0]);
     assert_eq!(overwritten.len(), 3);
     assert_eq!(overwritten.ids(), arena.ids(), "overwrite must not reorder");
-    assert_eq!(overwritten.row(UserId(1)), Some(&[9.0f32, 8.0, 7.0][..]));
-    assert_eq!(overwritten.row(UserId(3)), Some(&[0.0f32, 1.0, 2.0][..]));
+    assert_eq!(row(&overwritten, UserId(1)), Some(vec![9.0f32, 8.0, 7.0]));
+    assert_eq!(row(&overwritten, UserId(3)), Some(vec![0.0f32, 1.0, 2.0]));
 
     let appended = arena.with_row(UserId(7), &[5.0, 5.0, 5.0]);
     assert_eq!(appended.len(), 4);
@@ -223,8 +229,8 @@ fn with_row_overwrites_in_place_and_appends_at_the_end() {
         &[UserId(3), UserId(1), UserId(2), UserId(7)],
         "graduated users append after existing rows"
     );
-    assert_eq!(appended.row(UserId(7)), Some(&[5.0f32, 5.0, 5.0][..]));
+    assert_eq!(row(&appended, UserId(7)), Some(vec![5.0f32, 5.0, 5.0]));
     // The source arena is untouched — with_row is a shadow build.
     assert_eq!(arena.len(), 3);
-    assert_eq!(arena.row(UserId(7)), None);
+    assert_eq!(row(&arena, UserId(7)), None);
 }

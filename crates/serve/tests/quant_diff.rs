@@ -6,13 +6,13 @@
 //!
 //! * **Round trip** — quantize → dequantize moves no element by more than
 //!   half a quantization step (`scale / 2`), and the dispatched
-//!   `om_tensor::kernels::dequant_rows` is bitwise identical to the
-//!   scalar reference `om_serve::quant::dequantize_row_into`.
+//!   `om_tensor::kernels::dequant_rows` is bitwise identical to its
+//!   lint-registered serial twin `kernels::dequant_rows_serial`.
 //! * **Score drift** — a quantized engine's expected-star score for any
 //!   (user, item) pair stays within the committed
 //!   [`om_serve::quant::QUANT_MAX_SCORE_ABS`] of the f32 engine's.
-//! * **Shard invariance** — the sharded quantized engine is bitwise
-//!   identical to the unsharded quantized engine at any shard width
+//! * **Shard invariance** — the quantized engine at any shard width is
+//!   bitwise identical to the quantized engine with one shard
 //!   (dequantization is per-element, so partitioning cannot move a bit).
 //!
 //! One trained checkpoint is shared per test thread (training is the
@@ -23,13 +23,15 @@ use std::cell::OnceCell;
 use om_data::synth_feature_rows;
 use om_data::types::{ItemId, UserId};
 use om_data::{CrossDomainScenario, SplitConfig, SynthConfig, SynthWorld};
-use om_serve::{load_model, quant, ItemArena, ServeEngine, ServeOptions, ShardedEngine, UserArena};
+use om_serve::{load_model, quant, ItemArena, ServeEngine, ServeOptions, UserArena};
 use om_tensor::{kernels, seeded_rng};
 use omnimatch_core::{CorpusViews, OmniMatchConfig, Trainer};
 use proptest::prelude::*;
 
 const ITEM_DIM: usize = 12; // OmniMatchConfig::fast() dims
 const USER_DIM: usize = 24;
+/// A shard width no catalogue reaches: the whole arena is one shard.
+const ONE_SHARD: usize = usize::MAX;
 
 struct Ctx {
     cfg: OmniMatchConfig,
@@ -64,13 +66,14 @@ fn with_ctx<R>(f: impl FnOnce(&Ctx) -> R) -> R {
     })
 }
 
-/// A sharded engine over the given arenas, with a fresh model decode from
-/// the shared checkpoint (engines consume their model).
-fn mk_engine(ctx: &Ctx, items: ItemArena, users: UserArena, shard_items: usize) -> ShardedEngine {
+/// An engine at `shard_items` rows per shard over the given arenas, with
+/// a fresh model decode from the shared checkpoint (engines consume
+/// their model).
+fn mk_engine(ctx: &Ctx, items: ItemArena, users: UserArena, shard_items: usize) -> ServeEngine {
     let model = load_model(&ctx.cfg, ctx.vocab_size, &ctx.ckpt).expect("decode checkpoint");
     let views = CorpusViews::build(&ctx.scenario, &ctx.cfg, &mut seeded_rng(ctx.cfg.seed));
     let opts = ServeOptions { shard_items, ..ServeOptions::default() };
-    ShardedEngine::new(ServeEngine::with_arenas(model, views, items, users, opts))
+    ServeEngine::with_arenas(model, views, items, users, opts)
 }
 
 proptest! {
@@ -88,14 +91,10 @@ proptest! {
         prop_assert_eq!(scales.len(), rows);
 
         // The dispatched kernel (AVX2 when active) must agree bitwise
-        // with the scalar reference — dequantization is exact in f32.
+        // with the serial twin — dequantization is exact in f32.
         let deq = kernels::dequant_rows(&q, &scales, dim);
-        let mut reference = Vec::new();
-        for r in 0..rows {
-            let mut row = Vec::new();
-            quant::dequantize_row_into(&q[r * dim..(r + 1) * dim], scales[r], &mut row);
-            reference.extend_from_slice(&row);
-        }
+        let reference = kernels::dequant_rows_serial(&q, &scales, dim);
+        prop_assert_eq!(deq.len(), reference.len());
         for (a, b) in deq.iter().zip(&reference) {
             prop_assert_eq!(a.to_bits(), b.to_bits(), "dequant kernel diverged from scalar");
         }
@@ -131,19 +130,29 @@ proptest! {
             let item_data = synth_feature_rows(n_items, ITEM_DIM, seed ^ 0xA11C);
             let user_data = synth_feature_rows(n_users, USER_DIM, seed ^ 0xB22D);
 
-            let items = ItemArena::from_raw(item_ids.clone(), item_data.clone(), ITEM_DIM);
-            let users = UserArena::from_raw(user_ids.clone(), user_data.clone(), USER_DIM);
-            let qitems = items.quantized();
-            let qusers = users.quantized();
+            let arenas = || {
+                (
+                    ItemArena::from_raw(item_ids.clone(), item_data.clone(), ITEM_DIM),
+                    UserArena::from_raw(user_ids.clone(), user_data.clone(), USER_DIM),
+                )
+            };
+            let quantized = || {
+                let (items, users) = arenas();
+                (items.quantized(), users.quantized())
+            };
+            let (qitems, qusers) = quantized();
             prop_assert!(qitems.is_quantized() && qusers.is_quantized());
 
-            let f32_engine = mk_engine(ctx, items, users, shard_items);
-            let q_engine = mk_engine(ctx, qitems, qusers, shard_items);
+            let (items, users) = arenas();
+            let f32_engine = mk_engine(ctx, items, users, ONE_SHARD);
+            let q_engine = mk_engine(ctx, qitems, qusers, ONE_SHARD);
+            let (qitems, qusers) = quantized();
+            let q_sharded_engine = mk_engine(ctx, qitems, qusers, shard_items);
 
             for &u in &user_ids {
-                let f = f32_engine.inner().score_user(u).expect("score f32");
-                let q = q_engine.inner().score_user(u).expect("score quantized");
-                let q_sharded = q_engine.score_user(u).expect("score quantized sharded");
+                let f = f32_engine.score_user(u).expect("score f32");
+                let q = q_engine.score_user(u).expect("score quantized");
+                let q_sharded = q_sharded_engine.score_user(u).expect("score quantized sharded");
                 prop_assert_eq!(f.len(), q.len());
                 // Shard invariance of the quantized path, bit for bit.
                 for (a, b) in q.iter().zip(&q_sharded) {

@@ -1,30 +1,34 @@
-//! Differential suite: the sharded engine vs the single-arena engine,
-//! **bitwise**, across random shard widths, catalogue sizes, `k`, request
-//! groupings, and `OM_THREADS` settings — NaN ordering and exact-tie
-//! index order included.
+//! Differential suite: the engine at a random shard width vs the same
+//! engine with the whole catalogue in one shard, **bitwise**, across
+//! random catalogue sizes, `k`, request groupings, and `OM_THREADS`
+//! settings — NaN ordering and exact-tie index order included.
 //!
 //! Two layers:
 //!
 //! * a *real* trained scenario (warm + cold users, the tower in the loop)
 //!   where the shard width and thread count are swept against a
-//!   single-thread single-arena reference;
+//!   single-thread one-shard reference;
 //! * *synthetic* catalogues built from counter-mode feature rows with
 //!   injected NaN rows and duplicated rows (guaranteed exact score ties),
 //!   where catalogue size, shard width, and `k` all vary per case.
 //!
-//! The single-arena engine is PR 5's engine, untouched; it is the oracle.
+//! The width is fixed when an engine is built, so every case builds one
+//! engine per width. The one-shard engine is the oracle: with a single
+//! shard the per-shard top-K is the whole top-K and the merge has one
+//! input.
 
-use std::cell::{OnceCell, RefCell};
+use std::cell::OnceCell;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use om_data::types::{ItemId, UserId};
 use om_data::{synth_feature_rows, SplitConfig, SynthConfig, SynthWorld};
-use om_serve::{
-    load_model, ItemArena, Request, Response, ServeEngine, ServeOptions, ShardedEngine, UserArena,
-};
+use om_serve::{load_model, ItemArena, Request, Response, ServeEngine, ServeOptions, UserArena};
 use om_tensor::{runtime, seeded_rng};
 use omnimatch_core::{CorpusViews, OmniMatchConfig, Trainer};
 use proptest::prelude::*;
+
+/// A shard width no catalogue reaches: the whole arena is one shard.
+const ONE_SHARD: usize = usize::MAX;
 
 /// Serialise mutations of the global thread count across test threads.
 fn thread_lock() -> MutexGuard<'static, ()> {
@@ -55,25 +59,45 @@ fn assert_same_response(a: &Response, b: &Response) {
 // Layer 1: real trained scenario, shard width × threads × grouping.
 // ---------------------------------------------------------------------------
 
+/// Checkpoint + recipe to rebuild the trained engine at any shard width
+/// (engines consume their model).
 struct Ctx {
-    sharded: RefCell<ShardedEngine>,
+    cfg: OmniMatchConfig,
+    ckpt: Vec<u8>,
+    vocab_size: usize,
+    scenario: om_data::split::CrossDomainScenario,
     users: Vec<UserId>,
-    /// Single-arena single-thread reference responses, in `users` order.
+    /// One-shard single-thread reference responses, in `users` order.
     reference: Vec<Response>,
+}
+
+impl Ctx {
+    /// The trained engine (warm arena for the training users) at
+    /// `shard_items` rows per shard.
+    fn engine(&self, shard_items: usize) -> ServeEngine {
+        let model = load_model(&self.cfg, self.vocab_size, &self.ckpt).expect("decode checkpoint");
+        let views = CorpusViews::build(&self.scenario, &self.cfg, &mut seeded_rng(self.cfg.seed));
+        let opts = ServeOptions { shard_items, ..ServeOptions::default() };
+        ServeEngine::new(model, views, &self.scenario.train_users, opts)
+    }
 }
 
 fn build_ctx() -> Ctx {
     let world = SynthWorld::generate(SynthConfig::tiny(), &["Books", "Movies"]);
     let scenario = world.scenario("Books", "Movies", SplitConfig::default());
-    let trained = Trainer::new(OmniMatchConfig::fast().with_seed(31)).fit(&scenario);
-    let warm = scenario.train_users.clone();
-    let (model, views, _) = trained.into_parts();
+    let cfg = OmniMatchConfig::fast().with_seed(31);
+    let trained = Trainer::new(cfg.clone()).fit(&scenario);
+    let ckpt = trained.export_checkpoint().to_vec();
+    let (_, views, _) = trained.into_parts();
+    let vocab_size = views.vocab.len();
     let users = views.users().to_vec();
-    let engine = ServeEngine::new(model, views, &warm, ServeOptions::default());
-    let reference = {
+    let mut ctx = Ctx { cfg, ckpt, vocab_size, scenario, users, reference: Vec::new() };
+    let engine = ctx.engine(ONE_SHARD);
+    ctx.reference = {
         let _g = thread_lock();
         let prev = runtime::set_threads(1);
-        let r = users
+        let r = ctx
+            .users
             .iter()
             .enumerate()
             .map(|(i, &u)| {
@@ -85,7 +109,7 @@ fn build_ctx() -> Ctx {
         runtime::set_threads(prev);
         r
     };
-    Ctx { sharded: RefCell::new(ShardedEngine::new(engine)), users, reference }
+    ctx
 }
 
 // `Tensor` is an `Rc` handle, so the engine cannot live in a shared
@@ -130,8 +154,7 @@ proptest! {
                 groups.push(cur);
             }
 
-            let mut sharded = ctx.sharded.borrow_mut();
-            sharded.set_shard_items(shard_width);
+            let sharded = ctx.engine(shard_width);
             let _g = thread_lock();
             let prev = runtime::set_threads(threads);
             let got: Vec<Response> = groups
@@ -194,9 +217,17 @@ fn with_synth_ctx<R>(f: impl FnOnce(&SynthCtx) -> R) -> R {
     })
 }
 
-/// Build a sharded engine over a synthetic catalogue of `n_items` items
-/// and `n_users` warm users, with NaN-poisoned and duplicated item rows.
-fn synth_engine(ctx: &SynthCtx, n_users: usize, n_items: usize, k: usize, seed: u64) -> ShardedEngine {
+/// Build an engine at `shard_items` rows per shard over a synthetic
+/// catalogue of `n_items` items and `n_users` warm users, with
+/// NaN-poisoned and duplicated item rows.
+fn synth_engine(
+    ctx: &SynthCtx,
+    n_users: usize,
+    n_items: usize,
+    k: usize,
+    seed: u64,
+    shard_items: usize,
+) -> ServeEngine {
     let model = load_model(&ctx.cfg, ctx.vocab_size, &ctx.ckpt).expect("decode checkpoint");
     let views = CorpusViews::build(&ctx.scenario, &ctx.cfg, &mut seeded_rng(ctx.cfg.seed));
 
@@ -229,8 +260,8 @@ fn synth_engine(ctx: &SynthCtx, n_users: usize, n_items: usize, k: usize, seed: 
         synth_feature_rows(n_users, ctx.user_dim, seed ^ 0xABCD),
         ctx.user_dim,
     );
-    let opts = ServeOptions { topk: k, ..ServeOptions::default() };
-    ShardedEngine::new(ServeEngine::with_arenas(model, views, items, users, opts))
+    let opts = ServeOptions { topk: k, shard_items, ..ServeOptions::default() };
+    ServeEngine::with_arenas(model, views, items, users, opts)
 }
 
 proptest! {
@@ -246,25 +277,25 @@ proptest! {
         threads in 0usize..4,
     ) {
         with_synth_ctx(|ctx| {
-            let mut engine = synth_engine(ctx, n_users, n_items, k, seed);
-            engine.set_shard_items(shard_width);
+            let engine = synth_engine(ctx, n_users, n_items, k, seed, shard_width);
+            let one_shard = synth_engine(ctx, n_users, n_items, k, seed, ONE_SHARD);
             let reqs: Vec<Request> = (0..n_users)
                 .map(|i| Request { id: i as u64, user: UserId(i as u32), arrive_us: 0 })
                 .collect();
 
             let _g = thread_lock();
             let prev = runtime::set_threads(threads);
-            // Oracle: the wrapped single-arena engine over the same arenas.
+            // Oracle: the one-shard engine over the same arenas.
             let want: Vec<Response> = reqs
                 .iter()
-                .map(|&r| engine.inner().serve_one(r).expect("serve one"))
+                .map(|&r| one_shard.serve_one(r).expect("serve one"))
                 .collect();
             let got = engine.serve_batch(&reqs).expect("serve batch");
 
             // Full score rows must match bitwise too, shard by shard.
             for req in &reqs {
                 let a = engine.score_user(req.user).expect("score user");
-                let b = engine.inner().score_user(req.user).expect("score user");
+                let b = one_shard.score_user(req.user).expect("score user");
                 assert_eq!(a.len(), b.len());
                 for (x, y) in a.iter().zip(&b) {
                     prop_assert_eq!(x.to_bits(), y.to_bits());
