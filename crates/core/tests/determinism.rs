@@ -5,6 +5,11 @@
 //! pool, and the serial and parallel runs must match **each other** too.
 //! This is the end-to-end guarantee the kernel-level parity tests
 //! (om-tensor `tests/parity.rs`) build up to.
+//!
+//! [`fast_fit_fingerprint_is_pinned`] goes one step further: it pins the
+//! fingerprint of one fixed-seed fit to committed values, so a change that
+//! claims "training bits unchanged" is checked against the numbers the
+//! previous code produced, not only against itself.
 
 use om_data::{SplitConfig, SynthConfig, SynthWorld};
 use om_data::split::CrossDomainScenario;
@@ -55,6 +60,59 @@ fn fingerprint(sc: &CrossDomainScenario, seed: u64) -> Fingerprint {
             .map(|p| p.to_bits())
             .collect(),
     }
+}
+
+impl Fingerprint {
+    /// FNV-1a over every word of the fingerprint, in field order.
+    fn digest(&self) -> u64 {
+        let words = self
+            .epoch_stats
+            .iter()
+            .flatten()
+            .chain(&self.valid_rmse)
+            .copied()
+            .chain([self.best_epoch as u32, self.predictions.len() as u32])
+            .chain(self.predictions.iter().copied());
+        words.fold(0xcbf2_9ce4_8422_2325u64, |h, w| {
+            w.to_le_bytes()
+                .iter()
+                .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+        })
+    }
+}
+
+/// The pinned fit: `OmniMatchConfig::fast()`, seed 42, on [`scenario`].
+/// Per dispatch mode (`om_tensor::simd::active()`): the bits of epoch 0's
+/// total loss, and [`Fingerprint::digest`] of the whole fit.
+///
+/// Only x86_64 Linux is pinned: libm's `exp`/`ln` may round differently
+/// on other targets. To re-pin after a change that *means* to move
+/// training numerics, run
+/// `OM_SIMD=auto cargo test --release -p omnimatch-core --test determinism`
+/// and again with `OM_SIMD=off`; each failure message prints the new pair
+/// for its mode. Say in the change's notes why the numbers moved.
+const PINNED_AVX2: (u32, u64) = (0x408a_4321, 0x61bb_5434_895d_8cbc);
+const PINNED_SCALAR: (u32, u64) = (0x408a_4321, 0x6a54_ade5_7d47_adf7);
+
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+#[test]
+fn fast_fit_fingerprint_is_pinned() {
+    let fp = fingerprint(&scenario(), 42);
+    let (mode, pinned) = if om_tensor::simd::active() {
+        ("avx2", PINNED_AVX2)
+    } else {
+        ("scalar", PINNED_SCALAR)
+    };
+    let got = (fp.epoch_stats[0][0], fp.digest());
+    assert_eq!(
+        got, pinned,
+        "{mode} dispatch: the seed-42 fast() fit moved off its pinned bits \
+         (got epoch-0 total loss {:#010x} = {}, digest {:#018x}); re-pin only if \
+         the change means to alter training numerics",
+        got.0,
+        f32::from_bits(got.0),
+        got.1
+    );
 }
 
 #[test]

@@ -2,10 +2,13 @@
 //! kernel widths (3, 4, 5) over embedded review documents, ReLU, and
 //! max-over-time pooling (Eqs. 4–7). Output width = `kernels × filters`.
 //!
-//! Each branch lowers to unfold (im2col) + GEMM + bias + ReLU + pooling;
-//! every one of those kernels is multithreaded inside `om_tensor` (see
-//! `om_tensor::runtime`), so the whole extractor scales with cores while
-//! staying bitwise deterministic.
+//! Each branch is one tape op, `Tensor::conv_relu_max_pool`: a GEMM over
+//! the branch's windows, bias, ReLU and max-over-time in one pass that
+//! keeps only each (document, filter)'s winning window, so the backward
+//! touches those windows alone. It is bitwise the composed unfold (im2col)
+//! → GEMM → bias → ReLU → pooling chain, and like those kernels it runs on
+//! `om_tensor`'s worker pool (see `om_tensor::runtime`), so the extractor
+//! scales with cores while staying bitwise deterministic.
 
 use om_tensor::{init, Rng, Tensor};
 
@@ -14,7 +17,7 @@ use crate::module::HasParams;
 /// One convolution branch of a given kernel width.
 struct ConvBranch {
     width: usize,
-    /// `[width * emb_dim, filters]` — convolution expressed as unfold+matmul.
+    /// `[width * emb_dim, filters]` — the convolution as a window GEMM.
     weight: Tensor,
     bias: Tensor,
 }
@@ -62,7 +65,7 @@ impl TextCnn {
     pub fn forward(&self, embedded: &Tensor) -> Tensor {
         let dims = embedded.dims();
         assert_eq!(dims.len(), 3, "TextCnn expects [batch, len, emb]");
-        let (b, l, d) = (dims[0], dims[1], dims[2]);
+        let (l, d) = (dims[1], dims[2]);
         assert_eq!(d, self.emb_dim, "TextCnn: embedding width mismatch");
         assert!(
             l >= self.min_len(),
@@ -72,16 +75,7 @@ impl TextCnn {
         let pooled: Vec<Tensor> = self
             .branches
             .iter()
-            .map(|br| {
-                let t = l - br.width + 1;
-                let windows = embedded.unfold_windows(br.width); // [b*t, w*d]
-                let z = windows
-                    .matmul(&br.weight)
-                    .add_row(&br.bias)
-                    .relu()
-                    .reshape(&[b, t, self.filters]);
-                z.max_over_time() // [b, filters]
-            })
+            .map(|br| embedded.conv_relu_max_pool(&br.weight, &br.bias, br.width)) // [b, filters]
             .collect();
         let refs: Vec<&Tensor> = pooled.iter().collect();
         Tensor::concat_cols(&refs)

@@ -566,6 +566,274 @@ pub fn pair_rows_serial(users: &[f32], items: &[f32], du: usize, di: usize) -> V
     out
 }
 
+// ---------------------------------------------------------------------------
+// Fused TextCNN branch: convolution → bias → ReLU → max-over-time
+// ---------------------------------------------------------------------------
+
+/// Geometry of one TextCNN branch: `docs` documents of `len` tokens, each
+/// token a `dim`-wide row, convolved by `filters` filters spanning `width`
+/// tokens. Window `w` of a document is the `width·dim` contiguous values
+/// starting at token `w`; a document has `len − width + 1` of them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ConvShape {
+    pub docs: usize,
+    pub len: usize,
+    pub dim: usize,
+    pub width: usize,
+    pub filters: usize,
+}
+
+impl ConvShape {
+    fn windows(&self) -> usize {
+        self.len - self.width + 1
+    }
+
+    fn window_len(&self) -> usize {
+        self.width * self.dim
+    }
+
+    fn doc_len(&self) -> usize {
+        self.len * self.dim
+    }
+
+    /// Pool grain for work items of `cost` multiply-adds each: enough
+    /// items that one task clears the GEMM's parallel threshold.
+    fn grain(cost: usize) -> usize {
+        (GEMM_PAR_FLOPS / cost.max(1)).max(1)
+    }
+
+    fn check(&self, x: usize, w: usize, bias: usize) {
+        assert!(
+            self.width >= 1 && self.width <= self.len,
+            "conv: window {} out of range for len {}",
+            self.width,
+            self.len
+        );
+        assert!(self.dim > 0 && self.filters > 0, "conv: zero embedding width or filters");
+        assert!(self.windows() < NO_WINNER as usize, "conv: too many windows");
+        assert_eq!(x, self.docs * self.doc_len(), "conv: input is not [docs, len, dim]");
+        assert_eq!(w, self.window_len() * self.filters, "conv: weight is not [width·dim, filters]");
+        assert_eq!(bias, self.filters, "conv: bias is not [filters]");
+    }
+
+    fn check_grad(&self, winners: usize, g: usize) {
+        assert_eq!(winners, self.docs * self.filters, "conv: winners are not [docs, filters]");
+        assert_eq!(g, self.docs * self.filters, "conv: upstream gradient is not [docs, filters]");
+    }
+}
+
+/// The winner of a (document, filter) whose best pre-activation was ≤ 0:
+/// its ReLU is closed, so no gradient flows back through it.
+pub const NO_WINNER: u32 = u32::MAX;
+
+/// Documents per forward GEMM inside one task. Bounds the window and
+/// pre-activation scratch (about 100 KiB at the paper's dims, so it stays
+/// in L2 and under the allocator's mmap threshold) while keeping the
+/// 4-row micro-kernel's ragged tail rare.
+const CONV_BLOCK_DOCS: usize = 4;
+
+/// Forward of the documents from `doc0` on, one `(pooled, winner)` row of
+/// `out` per document; `gemm` is the `c[m,n] += a[m,k]·b[k,n]` kernel.
+// om-lint: reduction-ok(each pre-activation is one GEMM sum in p order;
+// the max scan takes windows in order with a strict `>`, first index wins)
+fn conv_pool_docs(
+    x: &[f32],
+    w: &[f32],
+    bias: &[f32],
+    s: ConvShape,
+    doc0: usize,
+    out: &mut [(f32, u32)],
+    gemm: impl Fn(&[f32], &[f32], &mut [f32], usize, usize, usize),
+) {
+    let (t, kd, f) = (s.windows(), s.window_len(), s.filters);
+    let block_docs = CONV_BLOCK_DOCS.min(out.len() / f);
+    let mut windows = Vec::with_capacity(block_docs * t * kd);
+    let mut pre = Vec::with_capacity(block_docs * t * f);
+    for (block, out) in out.chunks_mut(CONV_BLOCK_DOCS * f).enumerate() {
+        let (first, nb) = (doc0 + block * CONV_BLOCK_DOCS, out.len() / f);
+        windows.clear();
+        for doc in x[first * s.doc_len()..(first + nb) * s.doc_len()].chunks(s.doc_len()) {
+            for wi in 0..t {
+                windows.extend_from_slice(&doc[wi * s.dim..wi * s.dim + kd]);
+            }
+        }
+        pre.clear();
+        pre.resize(nb * t * f, 0.0f32);
+        gemm(&windows, w, &mut pre, nb * t, kd, f);
+        for (slots, doc_pre) in out.chunks_mut(f).zip(pre.chunks(t * f)) {
+            slots.fill((f32::NEG_INFINITY, 0));
+            for (wi, row) in doc_pre.chunks(f).enumerate() {
+                for ((slot, &z), &b) in slots.iter_mut().zip(row).zip(bias) {
+                    let v = (z + b).max(0.0);
+                    if v > slot.0 {
+                        *slot = (v, wi as u32);
+                    }
+                }
+            }
+            for slot in slots.iter_mut().filter(|slot| slot.0 <= 0.0) {
+                slot.1 = NO_WINNER;
+            }
+        }
+    }
+}
+
+/// One TextCNN branch, forward: for each document of `x [docs, len, dim]`
+/// and filter `f` of `w [width·dim, filters]`, the max over windows of
+/// `relu(window · w[:, f] + bias[f])`, and the window that won. Returns
+/// `(pooled [docs, filters], winners [docs, filters])`; a winner is
+/// [`NO_WINNER`] where the pooled value is 0.
+///
+/// Bitwise equal to unfold → [`gemm`] → `+ bias` → `max(0.0)` →
+/// max-over-time: each pre-activation is the same `p`-ordered GEMM sum
+/// (GEMM rows are partition-independent, so running a few documents'
+/// windows per call changes nothing), then bias, ReLU and a strict `>`
+/// scan from −∞ in window order. Parallel over blocks of documents; the
+/// window matrix only ever exists a block at a time.
+// om-lint: simd — runs the GEMM micro-kernel; tolerance registered in
+// tests/parity.rs (ulp_tolerance("conv_relu_max_pool") = 0, bitwise).
+pub fn conv_relu_max_pool(x: &[f32], w: &[f32], bias: &[f32], s: ConvShape) -> (Vec<f32>, Vec<u32>) {
+    s.check(x.len(), w.len(), bias.len());
+    if om_obs::enabled() {
+        gemm_obs(s.docs * s.windows(), s.window_len(), s.filters);
+    }
+    let mut packed = vec![(0.0f32, 0u32); s.docs * s.filters];
+    let grain = ConvShape::grain(s.windows() * s.window_len() * s.filters);
+    runtime::parallel_rows_mut(&mut packed, s.filters, grain, |doc0, out| {
+        conv_pool_docs(x, w, bias, s, doc0, out, |a, b, c, m, k, n| gemm_rows(a, b, c, 0, m, k, n));
+    });
+    packed.into_iter().unzip()
+}
+
+/// Serial twin of [`conv_relu_max_pool`] — scalar [`gemm_serial`], one
+/// thread.
+pub fn conv_relu_max_pool_serial(x: &[f32], w: &[f32], bias: &[f32], s: ConvShape) -> (Vec<f32>, Vec<u32>) {
+    s.check(x.len(), w.len(), bias.len());
+    let mut packed = vec![(0.0f32, 0u32); s.docs * s.filters];
+    conv_pool_docs(x, w, bias, s, 0, &mut packed, gemm_serial);
+    packed.into_iter().unzip()
+}
+
+/// `d(x)` of the documents from `doc0` on, given `wt = wᵀ [filters,
+/// width·dim]`: each window that won a filter gets the row `Σ g·wt[f]`
+/// over the filters it won, and the rows are added into the document in
+/// window order.
+// om-lint: reduction-ok(filter order inside a window's row, window order
+// into the document: the composed backward's order minus its zero terms)
+fn conv_input_grad_docs(wt: &[f32], winners: &[u32], g: &[f32], s: ConvShape, doc0: usize, dx: &mut [f32]) {
+    let (kd, f) = (s.window_len(), s.filters);
+    let mut row = vec![0.0f32; kd];
+    let mut won: Vec<(u32, usize)> = Vec::with_capacity(f);
+    for (bi, doc) in (doc0..).zip(dx.chunks_mut(s.doc_len())) {
+        let (wins, gs) = (&winners[bi * f..(bi + 1) * f], &g[bi * f..(bi + 1) * f]);
+        won.clear();
+        won.extend(wins.iter().enumerate().filter(|&(_, &wi)| wi != NO_WINNER).map(|(fi, &wi)| (wi, fi)));
+        won.sort_unstable();
+        for window in won.chunk_by(|a, b| a.0 == b.0) {
+            row.fill(0.0);
+            for &(_, fi) in window {
+                let gv = gs[fi];
+                for (r, &wv) in row.iter_mut().zip(&wt[fi * kd..(fi + 1) * kd]) {
+                    *r += gv * wv;
+                }
+            }
+            let at = window[0].0 as usize * s.dim;
+            for (o, &r) in doc[at..at + kd].iter_mut().zip(&row) {
+                *o += r;
+            }
+        }
+    }
+}
+
+/// One TextCNN branch, `d(x) [docs, len, dim]` from the forward's
+/// `winners` and the upstream `g [docs, filters]`.
+///
+/// Bitwise equal to the composed backward — `g·wᵀ` through [`gemm`], then
+/// the unfold scatter in window order — whose other terms are exact zeros
+/// added to sums that start at +0. Only winning windows are touched.
+/// Parallel over blocks of documents.
+pub fn conv_pool_input_grad(w: &[f32], winners: &[u32], g: &[f32], s: ConvShape) -> Vec<f32> {
+    s.check_grad(winners.len(), g.len());
+    let wt = transpose(w, s.window_len(), s.filters);
+    let mut dx = vec![0.0f32; s.docs * s.doc_len()];
+    let grain = ConvShape::grain(s.filters * s.window_len());
+    runtime::parallel_rows_mut(&mut dx, s.doc_len(), grain, |doc0, dx| {
+        conv_input_grad_docs(&wt, winners, g, s, doc0, dx);
+    });
+    dx
+}
+
+/// Serial twin of [`conv_pool_input_grad`] — one thread.
+pub fn conv_pool_input_grad_serial(w: &[f32], winners: &[u32], g: &[f32], s: ConvShape) -> Vec<f32> {
+    s.check_grad(winners.len(), g.len());
+    let wt = transpose_serial(w, s.window_len(), s.filters);
+    let mut dx = vec![0.0f32; s.docs * s.doc_len()];
+    conv_input_grad_docs(&wt, winners, g, s, 0, &mut dx);
+    dx
+}
+
+/// Rows `f0..` of `dwᵀ [filters, width·dim]`: row `f` is `Σ g·window`
+/// over the documents whose filter `f` fired, in document order.
+// om-lint: reduction-ok(document order per filter, as the composed
+// Xᵀ·dC GEMM sums its rows, minus its zero terms)
+fn conv_weight_grad_rows(x: &[f32], winners: &[u32], g: &[f32], s: ConvShape, f0: usize, dwt: &mut [f32]) {
+    let (kd, f) = (s.window_len(), s.filters);
+    for (fi, row) in (f0..).zip(dwt.chunks_mut(kd)) {
+        for bi in 0..s.docs {
+            let wi = winners[bi * f + fi];
+            if wi == NO_WINNER {
+                continue;
+            }
+            let gv = g[bi * f + fi];
+            let at = bi * s.doc_len() + wi as usize * s.dim;
+            for (o, &xv) in row.iter_mut().zip(&x[at..at + kd]) {
+                *o += xv * gv;
+            }
+        }
+    }
+}
+
+/// `dbias [filters]`: `g` summed over the documents whose filter fired,
+/// in document order.
+// om-lint: reduction-ok(document order per filter, as the composed
+// add_row backward sums its rows, minus its zero terms)
+fn conv_bias_grad(winners: &[u32], g: &[f32], f: usize) -> Vec<f32> {
+    let mut db = vec![0.0f32; f];
+    for (wins, gs) in winners.chunks(f).zip(g.chunks(f)) {
+        for ((d, &wi), &gv) in db.iter_mut().zip(wins).zip(gs) {
+            if wi != NO_WINNER {
+                *d += gv;
+            }
+        }
+    }
+    db
+}
+
+/// One TextCNN branch, `(dw [width·dim, filters], dbias [filters])` from
+/// the input `x`, the forward's `winners` and the upstream `g`.
+///
+/// Bitwise equal to the composed backward (`Xᵀ·g` through [`gemm`] and the
+/// bias row sum), whose other terms are exact zeros added to sums that
+/// start at +0. Parallel over filters: each task owns whole rows of
+/// `dwᵀ`, transposed once at the end.
+pub fn conv_pool_param_grads(x: &[f32], winners: &[u32], g: &[f32], s: ConvShape) -> (Vec<f32>, Vec<f32>) {
+    s.check_grad(winners.len(), g.len());
+    let (kd, f) = (s.window_len(), s.filters);
+    let mut dwt = vec![0.0f32; f * kd];
+    runtime::parallel_rows_mut(&mut dwt, kd, ConvShape::grain(s.docs * kd), |f0, rows| {
+        conv_weight_grad_rows(x, winners, g, s, f0, rows);
+    });
+    (transpose(&dwt, f, kd), conv_bias_grad(winners, g, f))
+}
+
+/// Serial twin of [`conv_pool_param_grads`] — one thread.
+pub fn conv_pool_param_grads_serial(x: &[f32], winners: &[u32], g: &[f32], s: ConvShape) -> (Vec<f32>, Vec<f32>) {
+    s.check_grad(winners.len(), g.len());
+    let (kd, f) = (s.window_len(), s.filters);
+    let mut dwt = vec![0.0f32; f * kd];
+    conv_weight_grad_rows(x, winners, g, s, 0, &mut dwt);
+    (transpose_serial(&dwt, f, kd), conv_bias_grad(winners, g, f))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -12,15 +12,17 @@
 //!
 //! The op set is exactly what the OmniMatch architecture needs — dense
 //! algebra (matmul, bias broadcast), TextCNN plumbing (embedding gather,
-//! unfold/im2col, max-over-time pooling), loss machinery (log-softmax,
-//! negative log-likelihood gather, L2 row normalisation for contrastive
-//! projections) and the gradient-reversal primitive used by domain
-//! adversarial training.
+//! the fused conv → ReLU → max-over-time branch, and the unfold/im2col and
+//! max-over-time primitives it is tested against), loss machinery
+//! (log-softmax, negative log-likelihood gather, L2 row normalisation for
+//! contrastive projections) and the gradient-reversal primitive used by
+//! domain adversarial training.
 //!
-//! Heavy kernels (GEMM, elementwise maps, row-wise softmax/normalisation,
-//! reductions, unfold) execute on a global thread pool — see [`runtime`]
-//! for configuration (`OM_THREADS`) and [`kernels`] for the determinism
-//! contract: results are bitwise identical at every thread count.
+//! Heavy kernels (GEMM, the fused conv branch, elementwise maps, row-wise
+//! softmax/normalisation, reductions, unfold) execute on a global thread
+//! pool — see [`runtime`] for configuration (`OM_THREADS`) and [`kernels`]
+//! for the determinism contract: results are bitwise identical at every
+//! thread count.
 //!
 //! ```
 //! use om_tensor::Tensor;

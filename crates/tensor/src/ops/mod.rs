@@ -6,12 +6,16 @@
 //!
 //! * [`elementwise`] — add/sub/mul, scalar algebra, activations, exp/log.
 //! * [`matmul`] — dense 2-D matrix multiplication and transposition.
+//! * [`conv`] — the fused TextCNN branch: convolution → bias → ReLU →
+//!   max-over-time in one op whose backward touches only winning windows.
 //! * [`reduce`] — full and axis reductions.
 //! * [`softmax`] — (log-)softmax over rows and the fused NLL gather.
 //! * [`structural`] — reshape, concat, embedding gather, unfold (im2col),
-//!   max-over-time pooling, row selection.
+//!   max-over-time pooling, row selection. Unfold and max-over-time are
+//!   also the composed reference [`conv`] is tested against.
 //! * [`special`] — gradient reversal/scaling and L2 row normalisation.
 
+pub mod conv;
 pub mod elementwise;
 pub mod matmul;
 pub mod reduce;

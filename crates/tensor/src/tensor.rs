@@ -317,13 +317,14 @@ impl Tensor {
         self.accumulate_grad(seed);
         for node in order.iter().rev() {
             if let Some(backward) = &node.0.backward {
-                let grad = node
-                    .0
-                    .grad
-                    .borrow()
-                    .clone()
-                    .unwrap_or_else(|| vec![0.0; node.numel()]);
-                backward(&grad, &node.0.parents);
+                // Borrowed, not copied: a closure writes only its parents'
+                // gradients, never its own node's, so the borrow cannot
+                // alias. A node nothing reached still runs, on zeros, so
+                // its parameters see `Some(0)` as before.
+                match node.0.grad.borrow().as_deref() {
+                    Some(grad) => backward(grad, &node.0.parents),
+                    None => backward(&vec![0.0; node.numel()], &node.0.parents),
+                }
             }
         }
     }

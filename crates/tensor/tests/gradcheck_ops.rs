@@ -364,6 +364,54 @@ fn gc_max_over_time() {
     }
 }
 
+/// Smallest distance, over every (document, filter), from a kink of
+/// `conv_relu_max_pool`: a window's pre-activation crossing 0, or the
+/// winning window's lead over the runner-up. An EPS nudge of any one
+/// input moves a pre-activation by at most EPS (all inputs lie in
+/// [-1, 1]), so a margin above `2·EPS` keeps the loss smooth at every
+/// probe point.
+fn conv_kink_margin(x: &Tensor, w: &Tensor, bias: &Tensor, k: usize) -> f32 {
+    let (b, f) = (x.dims()[0], bias.numel());
+    let t = x.dims()[1] - k + 1;
+    let pre = {
+        let _off = om_tensor::no_grad();
+        x.unfold_windows(k).matmul(w).add_row(bias).to_vec()
+    };
+    let mut margin = f32::INFINITY;
+    for bi in 0..b {
+        for fi in 0..f {
+            let mut col: Vec<f32> = (0..t).map(|ti| pre[(bi * t + ti) * f + fi]).collect();
+            margin = col.iter().fold(margin, |m, z| m.min(z.abs()));
+            col.sort_by(|a, b| b.total_cmp(a));
+            if t > 1 && col[0] > 0.0 {
+                margin = margin.min(col[0] - col[1].max(0.0));
+            }
+        }
+    }
+    margin
+}
+
+#[test]
+fn gc_conv_relu_max_pool() {
+    // The fused TextCNN branch, checked against each of its three inputs.
+    for (b, l, d, k, f, seed) in [(1usize, 4usize, 2usize, 2usize, 3usize, 43u64), (3, 7, 3, 3, 4, 48)] {
+        let x = param(&[b, l, d], seed);
+        let w = param(&[k * d, f], seed + 100);
+        let bias = param(&[f], seed + 200);
+        let margin = conv_kink_margin(&x, &w, &bias, k);
+        assert!(margin > 2.0 * EPS, "seed {seed}: kink margin {margin} too small for EPS {EPS}");
+        check_both("conv_relu_max_pool d input", &x, |x| {
+            x.conv_relu_max_pool(&w, &bias, k).square().mean_all()
+        });
+        check_both("conv_relu_max_pool d weight", &w, |w| {
+            x.conv_relu_max_pool(w, &bias, k).square().mean_all()
+        });
+        check_both("conv_relu_max_pool d bias", &bias, |bias| {
+            x.conv_relu_max_pool(&w, bias, k).square().mean_all()
+        });
+    }
+}
+
 #[test]
 fn gc_select_rows() {
     // Row repetition exercises the scatter backward.

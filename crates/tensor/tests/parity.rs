@@ -9,11 +9,12 @@
 //!   against their always-scalar `*_serial` twins. Under scalar dispatch
 //!   (`OM_SIMD=off`, or no AVX2) every comparison is bitwise. Under AVX2
 //!   dispatch, kernels whose vector port preserves the scalar operation
-//!   sequence per element (gemm, elementwise, pair_rows, dequant) stay
-//!   bitwise — their registered `ulp_tolerance` is 0 — while reordered
-//!   reductions (`sum`) and the polynomial-exp softmax row match within a
-//!   measured, margin-padded ULP tolerance ([`ULP_TOLERANCES`]). The
-//!   effective tolerance is selected by [`tier_tolerance`].
+//!   sequence per element (gemm, the fused conv branch, elementwise,
+//!   pair_rows, dequant) stay bitwise — their registered `ulp_tolerance`
+//!   is 0 — while reordered reductions (`sum`) and the polynomial-exp
+//!   softmax row match within a measured, margin-padded ULP tolerance
+//!   ([`ULP_TOLERANCES`]). The effective tolerance is selected by
+//!   [`tier_tolerance`].
 //!
 //! Shapes deliberately include 1×1, 1×N, tall-skinny, wide-short, and
 //! odd/prime sizes to hit every ragged-tail branch of the blocked GEMM,
@@ -351,6 +352,64 @@ fn whole_graph_loss_is_thread_count_invariant_bitwise() {
 }
 
 #[test]
+fn conv_pool_kernels_match_serial_twins_bitwise() {
+    // The fused TextCNN branch: forward, input gradient and parameter
+    // gradients against their serial twins, at every thread setting.
+    // Shapes cover one window (t = 1), one document, blocks past the
+    // 4-document GEMM block, and the paper's width-5 branch; a zero
+    // (padding) document, a constant one (every window tied) and
+    // `-0.0` upstream gradients ride in every case.
+    for &(docs, len, dim, width, filters) in &[
+        (1usize, 3usize, 2usize, 3usize, 1usize),
+        (1, 9, 3, 2, 5),
+        (7, 11, 4, 3, 9),
+        (19, 20, 5, 5, 24),
+        (40, 48, 24, 5, 24),
+    ] {
+        let s = kernels::ConvShape { docs, len, dim, width, filters };
+        let seed = (docs * 131 + len * 17 + filters) as u64;
+        let mut x = init::uniform(&[docs, len, dim], -1.0, 1.0, &mut seeded_rng(seed)).to_vec();
+        let doc = len * dim;
+        x[..doc].fill(0.0);
+        if docs > 2 {
+            x[2 * doc..3 * doc].fill(0.25);
+        }
+        let w = init::uniform(&[width * dim, filters], -0.5, 0.5, &mut seeded_rng(seed + 1)).to_vec();
+        let bias = init::uniform(&[filters], -0.2, 0.2, &mut seeded_rng(seed + 2)).to_vec();
+        let mut g = init::uniform(&[docs, filters], -1.0, 1.0, &mut seeded_rng(seed + 3)).to_vec();
+        for v in g.iter_mut().step_by(3) {
+            *v = -0.0;
+        }
+
+        let (pooled, winners) = kernels::conv_relu_max_pool_serial(&x, &w, &bias, s);
+        let (fast_pooled, fast_winners) = kernels::conv_relu_max_pool(&x, &w, &bias, s);
+        assert_eq!(bits(&pooled), bits(&fast_pooled), "conv_relu_max_pool {s:?} vs serial twin");
+        assert_eq!(winners, fast_winners, "conv_relu_max_pool {s:?} winners vs serial twin");
+        assert_parity(&format!("conv_relu_max_pool {s:?}"), || {
+            let (p, win) = kernels::conv_relu_max_pool(&x, &w, &bias, s);
+            p.into_iter().chain(win.into_iter().map(f32::from_bits)).collect()
+        });
+
+        let dx = kernels::conv_pool_input_grad_serial(&w, &winners, &g, s);
+        assert_eq!(bits(&dx), bits(&kernels::conv_pool_input_grad(&w, &winners, &g, s)), "conv_pool_input_grad {s:?}");
+        assert_parity(&format!("conv_pool_input_grad {s:?}"), || {
+            kernels::conv_pool_input_grad(&w, &winners, &g, s)
+        });
+
+        let (dw, dbias) = kernels::conv_pool_param_grads_serial(&x, &winners, &g, s);
+        let (fast_dw, fast_dbias) = kernels::conv_pool_param_grads(&x, &winners, &g, s);
+        assert_eq!(bits(&dw), bits(&fast_dw), "conv_pool_param_grads {s:?} weight");
+        assert_eq!(bits(&dbias), bits(&fast_dbias), "conv_pool_param_grads {s:?} bias");
+        assert_parity(&format!("conv_pool_param_grads {s:?}"), || {
+            let (dw, dbias) = kernels::conv_pool_param_grads(&x, &winners, &g, s);
+            dw.into_iter().chain(dbias).collect()
+        });
+    }
+    // The forward runs the GEMM micro-kernel unchanged: bitwise in every mode.
+    assert_eq!(ulp_tolerance("conv_relu_max_pool"), 0, "conv_relu_max_pool keeps gemm's p-order — always bitwise");
+}
+
+#[test]
 fn pair_rows_matches_serial_reference_bitwise() {
     // Shapes straddle the fill grain so both the inline and pooled paths
     // run; (1,1) and prime sizes hit the ragged tails.
@@ -470,6 +529,7 @@ fn dequant_rows_matches_serial_twin_bitwise() {
 /// every simd-marked kernel, alphabetical.
 const ULP_TOLERANCES: &[(&str, u32)] = &[
     ("add_slices", 0),
+    ("conv_relu_max_pool", 0),
     ("dequant_rows", 0),
     ("gemm", 0),
     ("log_softmax_rows", 1024), // measured worst 256 (wide-range rows)
