@@ -24,10 +24,20 @@
 //! [`crate::simd`] when the CPU supports them (override with
 //! `OM_SIMD=off`). The serial twins always stay scalar: they are the
 //! parity oracle. Kernels whose vector port preserves the exact scalar
-//! operation sequence (GEMM, elementwise, `pair_rows`, dequantisation)
-//! remain bitwise identical to their twins; reordered reductions ([`sum`])
-//! and the polynomial-exp softmax row match within a registered ULP
-//! tolerance (see `tests/parity.rs`).
+//! operation sequence (GEMM, the fused TextCNN forward, elementwise,
+//! `pair_rows`, dequantisation) remain bitwise identical to their twins;
+//! reordered reductions ([`sum`]) and the polynomial-exp softmax row match
+//! within a registered ULP tolerance (see `tests/parity.rs`).
+//!
+//! GEMM is bitwise equal to [`gemm_serial`] only while `c` holds no `-0.0`
+//! on entry: the four-row kernel adds a zero lane's `0·b` where the oracle
+//! skips it, and `-0.0 + +0.0 = +0.0`. A sum that starts at `+0.0` never
+//! becomes `-0.0`, so no caller's `c` does; debug builds assert it.
+//!
+//! The fused TextCNN forward ([`conv_relu_max_pool`]) builds no window
+//! matrix: the GEMM kernel takes a row stride (see [`gemm_strided`]), so
+//! each document's windows are read in place at `lda = dim`. Only the
+//! serial twin still copies them.
 
 use std::sync::OnceLock;
 
@@ -75,9 +85,11 @@ const GEMM_ROW_GRAIN: usize = 8;
 
 /// Reference row-major GEMM, `c[m,n] += a[m,k] · b[k,n]`, single thread.
 ///
-/// The ikj loop order keeps the inner loop contiguous over `b` and `c`;
-/// rows of `a` that are exactly zero at position `p` are skipped, which is
-/// a real win for the zero-padded rows produced by `unfold_windows`.
+/// The ikj loop order keeps the inner loop contiguous over `b` and `c`.
+/// A `p` where `a`'s entry is exactly zero is skipped. The blocked kernels
+/// keep that skip (per four-row group) for parity with this oracle, not
+/// for speed: the padding token's embedding row takes gradient and is not
+/// zero after training, so the TextCNN GEMMs meet no all-zero steps.
 pub fn gemm_serial(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
@@ -97,30 +109,30 @@ pub fn gemm_serial(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: u
     }
 }
 
-/// Compute rows `[row0, row0+rows)` of the product into `c_block` (which
-/// holds exactly those rows), processing four rows at a time so each
-/// streamed row of `b` is reused fourfold.
+/// Compute `rows` output rows into `c_block` (which holds exactly those
+/// rows), where row `i` of the left operand is `a[i·lda..i·lda + k]` —
+/// rows may overlap, as a document's TextCNN windows do at `lda = dim`.
+/// Four rows at a time, so each streamed row of `b` is reused fourfold.
 ///
 /// Per output element the accumulation order is `p = 0..k`, identical to
-/// [`gemm_serial`]; adding an exact-zero product is a bitwise no-op for
-/// finite inputs, so the relaxed skip condition (all four lanes zero)
-/// cannot change results.
-fn gemm_rows(a: &[f32], b: &[f32], c_block: &mut [f32], row0: usize, rows: usize, k: usize, n: usize) {
-    if crate::simd::gemm_rows(a, b, c_block, row0, rows, k, n) {
+/// [`gemm_serial`]. A four-row group skips `p` only when all four lanes
+/// are zero, so a row whose own lane is zero adds `0·b`, where the oracle
+/// adds nothing. That is a bitwise no-op unless the element holds `-0.0`
+/// (`-0.0 + +0.0 = +0.0`), which a sum that starts at `+0.0` never does:
+/// hence [`gemm`]'s precondition.
+fn gemm_rows(a: &[f32], lda: usize, b: &[f32], c_block: &mut [f32], rows: usize, k: usize, n: usize) {
+    if crate::simd::gemm_rows(a, lda, b, c_block, rows, k, n) {
         return;
     }
     let mut i = 0;
     while i + 4 <= rows {
-        let (r0, r1, r2, r3) = (row0 + i, row0 + i + 1, row0 + i + 2, row0 + i + 3);
+        let a_rows: [&[f32]; 4] = std::array::from_fn(|r| &a[(i + r) * lda..(i + r) * lda + k]);
         // Four independent accumulator rows inside the block.
         let (c01, c23) = c_block[i * n..(i + 4) * n].split_at_mut(2 * n);
         let (c0, c1) = c01.split_at_mut(n);
         let (c2, c3) = c23.split_at_mut(n);
         for p in 0..k {
-            let a0 = a[r0 * k + p];
-            let a1 = a[r1 * k + p];
-            let a2 = a[r2 * k + p];
-            let a3 = a[r3 * k + p];
+            let [a0, a1, a2, a3] = a_rows.map(|row| row[p]);
             if a0 == 0.0 && a1 == 0.0 && a2 == 0.0 && a3 == 0.0 {
                 continue;
             }
@@ -137,10 +149,9 @@ fn gemm_rows(a: &[f32], b: &[f32], c_block: &mut [f32], row0: usize, rows: usize
     }
     // Ragged tail: plain single-row kernel, same per-element order.
     while i < rows {
-        let r = row0 + i;
+        let a_row = &a[i * lda..i * lda + k];
         let c_row = &mut c_block[i * n..(i + 1) * n];
-        for p in 0..k {
-            let a_ip = a[r * k + p];
+        for (p, &a_ip) in a_row.iter().enumerate() {
             if a_ip == 0.0 {
                 continue;
             }
@@ -153,21 +164,43 @@ fn gemm_rows(a: &[f32], b: &[f32], c_block: &mut [f32], row0: usize, rows: usize
     }
 }
 
-/// Row-major GEMM `c[m,n] += a[m,k] · b[k,n]`, parallel over row blocks.
+/// Row-major GEMM `c[m,n] += a[m,k] · b[k,n]`, parallel over row blocks:
+/// [`gemm_strided`] at `lda = k`.
 ///
 /// Bitwise identical to [`gemm_serial`] for finite inputs at any thread
-/// count (see module docs). The product accumulates *into* `c`: each
-/// element continues from its incoming value in `p = 0..k` order, so a
-/// sum split at any `p` — run the first `p` columns of `a` against the
-/// first `p` rows of `b`, then the rest into the same `c` — is bitwise
-/// the one-call sum (the serving head resumes from a user partial this
-/// way).
+/// count (see module docs), provided `c` holds no `-0.0` on entry (see
+/// [`gemm_strided`]). The product accumulates *into* `c`: each element
+/// continues from its incoming value in `p = 0..k` order, so a sum split
+/// at any `p` — run the first `p` columns of `a` against the first `p`
+/// rows of `b`, then the rest into the same `c` — is bitwise the one-call
+/// sum (the serving head resumes from a user partial this way).
 // om-lint: simd — inner-product kernel; a vectorised port must register
 // its ULP tolerance in tests/parity.rs (ulp_tolerance("gemm")).
 pub fn gemm(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(c.len(), m * n);
+    assert_eq!(a.len(), m * k, "gemm: a is not [m, k]");
+    gemm_strided(a, k, b, c, m, k, n);
+}
+
+/// [`gemm`] with a row stride: `c[m,n] += A · b[k,n]`, where row `i` of
+/// `A` is `a[i·lda..i·lda + k]`. Rows may overlap (`lda < k`), so the
+/// windows of a token sequence multiply in place.
+///
+/// Bitwise identical to [`gemm_serial`] on the gathered rows for finite
+/// inputs at any thread count, provided `c` holds no `-0.0` on entry.
+/// The four-row kernel adds a zero lane's `0·b` where the oracle skips
+/// it, which turns a `-0.0` element into `+0.0`. Every caller in the
+/// workspace seeds `c` with `+0.0` or with a sum that started there,
+/// which can never be `-0.0`. Debug builds assert the precondition.
+// om-lint: simd — inner-product kernel; a vectorised port must register
+// its ULP tolerance in tests/parity.rs (ulp_tolerance("gemm_strided")).
+pub fn gemm_strided(a: &[f32], lda: usize, b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    assert!(crate::simd::rows_fit(a.len(), lda, m, k), "gemm: a is too short for {m} rows of stride {lda}");
+    assert!(k.checked_mul(n) == Some(b.len()), "gemm: b is not [k, n]");
+    assert!(m.checked_mul(n) == Some(c.len()), "gemm: c is not [m, n]");
+    debug_assert!(
+        c.iter().all(|v| v.to_bits() != (-0.0f32).to_bits()),
+        "gemm: c holds -0.0, which the four-row kernel may turn into +0.0"
+    );
     if n == 0 || m == 0 {
         return;
     }
@@ -176,7 +209,7 @@ pub fn gemm(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
         gemm_obs(m, k, n);
     }
     if m * n * k < GEMM_PAR_FLOPS {
-        gemm_rows(a, b, c, 0, m, k, n);
+        gemm_rows(a, lda, b, c, m, k, n);
         return;
     }
     // Only above-threshold GEMMs get a span: one record per dispatch-sized
@@ -186,8 +219,14 @@ pub fn gemm(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     // enough that even single rows amortise the dispatch.
     let grain = if n * k >= 64 * 1024 { 1 } else { GEMM_ROW_GRAIN };
     runtime::parallel_rows_mut(c, n, grain, |row0, block| {
-        gemm_rows(a, b, block, row0, block.len() / n, k, n);
+        gemm_rows(&a[row0 * lda..], lda, b, block, block.len() / n, k, n);
     });
+}
+
+/// Serial twin of [`gemm_strided`]: gathers the rows, then [`gemm_serial`].
+pub fn gemm_strided_serial(a: &[f32], lda: usize, b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    let rows: Vec<f32> = (0..m).flat_map(|i| &a[i * lda..i * lda + k]).copied().collect();
+    gemm_serial(&rows, b, c, m, k, n);
 }
 
 /// Transpose a row-major `[m,n]` matrix into `[n,m]`.
@@ -626,53 +665,45 @@ impl ConvShape {
 /// its ReLU is closed, so no gradient flows back through it.
 pub const NO_WINNER: u32 = u32::MAX;
 
-/// Documents per forward GEMM inside one task. Bounds the window and
-/// pre-activation scratch (about 100 KiB at the paper's dims, so it stays
-/// in L2 and under the allocator's mmap threshold) while keeping the
-/// 4-row micro-kernel's ragged tail rare.
-const CONV_BLOCK_DOCS: usize = 4;
-
-/// Forward of the documents from `doc0` on, one `(pooled, winner)` row of
-/// `out` per document; `gemm` is the `c[m,n] += a[m,k]·b[k,n]` kernel.
-// om-lint: reduction-ok(each pre-activation is one GEMM sum in p order;
-// the max scan takes windows in order with a strict `>`, first index wins)
-fn conv_pool_docs(
-    x: &[f32],
-    w: &[f32],
-    bias: &[f32],
-    s: ConvShape,
-    doc0: usize,
-    out: &mut [(f32, u32)],
-    gemm: impl Fn(&[f32], &[f32], &mut [f32], usize, usize, usize),
-) {
-    let (t, kd, f) = (s.windows(), s.window_len(), s.filters);
-    let block_docs = CONV_BLOCK_DOCS.min(out.len() / f);
-    let mut windows = Vec::with_capacity(block_docs * t * kd);
-    let mut pre = Vec::with_capacity(block_docs * t * f);
-    for (block, out) in out.chunks_mut(CONV_BLOCK_DOCS * f).enumerate() {
-        let (first, nb) = (doc0 + block * CONV_BLOCK_DOCS, out.len() / f);
-        windows.clear();
-        for doc in x[first * s.doc_len()..(first + nb) * s.doc_len()].chunks(s.doc_len()) {
-            for wi in 0..t {
-                windows.extend_from_slice(&doc[wi * s.dim..wi * s.dim + kd]);
+/// Bias, ReLU and max-over-time of one document's window pre-activations
+/// `pre [t, filters]` into its `(pooled, winner)` slots: windows in order,
+/// a strict `>` from −∞, so the first window to reach the max wins, and
+/// [`NO_WINNER`] where the max is 0.
+// om-lint: reduction-ok(the max scan takes windows in order with a strict
+// `>`, first index wins)
+fn relu_max_pool_scalar(pre: &[f32], bias: &[f32], slots: &mut [(f32, u32)]) {
+    slots.fill((f32::NEG_INFINITY, 0));
+    for (wi, row) in pre.chunks(bias.len()).enumerate() {
+        for ((slot, &z), &b) in slots.iter_mut().zip(row).zip(bias) {
+            let v = (z + b).max(0.0);
+            if v > slot.0 {
+                *slot = (v, wi as u32);
             }
         }
-        pre.clear();
-        pre.resize(nb * t * f, 0.0f32);
-        gemm(&windows, w, &mut pre, nb * t, kd, f);
-        for (slots, doc_pre) in out.chunks_mut(f).zip(pre.chunks(t * f)) {
-            slots.fill((f32::NEG_INFINITY, 0));
-            for (wi, row) in doc_pre.chunks(f).enumerate() {
-                for ((slot, &z), &b) in slots.iter_mut().zip(row).zip(bias) {
-                    let v = (z + b).max(0.0);
-                    if v > slot.0 {
-                        *slot = (v, wi as u32);
-                    }
-                }
+    }
+    for slot in slots.iter_mut().filter(|slot| slot.0 <= 0.0) {
+        slot.1 = NO_WINNER;
+    }
+}
+
+/// Forward of the documents from `doc0` on, one `(pooled, winner)` row of
+/// `out` per document. Each document's windows are its rows at stride
+/// `dim`, multiplied in place by the GEMM micro-kernel; the pool scan
+/// runs on the `[t, filters]` pre-activations it leaves.
+fn conv_pool_docs(x: &[f32], w: &[f32], bias: &[f32], s: ConvShape, doc0: usize, out: &mut [(f32, u32)]) {
+    let (t, kd, f) = (s.windows(), s.window_len(), s.filters);
+    let mut pre = vec![0.0f32; t * f];
+    let (mut best, mut win) = (vec![0.0f32; f], vec![0u32; f]);
+    let docs = x[doc0 * s.doc_len()..].chunks(s.doc_len());
+    for (doc, slots) in docs.zip(out.chunks_mut(f)) {
+        pre.fill(0.0);
+        gemm_rows(doc, s.dim, w, &mut pre, t, kd, f);
+        if crate::simd::relu_max_pool(&pre, bias, &mut best, &mut win) {
+            for (slot, pair) in slots.iter_mut().zip(best.iter().copied().zip(win.iter().copied())) {
+                *slot = pair;
             }
-            for slot in slots.iter_mut().filter(|slot| slot.0 <= 0.0) {
-                slot.1 = NO_WINNER;
-            }
+        } else {
+            relu_max_pool_scalar(&pre, bias, slots);
         }
     }
 }
@@ -685,10 +716,11 @@ fn conv_pool_docs(
 ///
 /// Bitwise equal to unfold → [`gemm`] → `+ bias` → `max(0.0)` →
 /// max-over-time: each pre-activation is the same `p`-ordered GEMM sum
-/// (GEMM rows are partition-independent, so running a few documents'
-/// windows per call changes nothing), then bias, ReLU and a strict `>`
-/// scan from −∞ in window order. Parallel over blocks of documents; the
-/// window matrix only ever exists a block at a time.
+/// from `+0.0` (GEMM rows are partition-independent, and reading a window
+/// in place at row stride `dim` reads the values unfold would copy), then
+/// bias, ReLU and a strict `>` scan from −∞ in window order. That sum is
+/// never `-0.0`, so the vector scan's `max` has no signed-zero case to
+/// disagree on. Parallel over documents; no window matrix is built.
 // om-lint: simd — runs the GEMM micro-kernel; tolerance registered in
 // tests/parity.rs (ulp_tolerance("conv_relu_max_pool") = 0, bitwise).
 pub fn conv_relu_max_pool(x: &[f32], w: &[f32], bias: &[f32], s: ConvShape) -> (Vec<f32>, Vec<u32>) {
@@ -699,17 +731,29 @@ pub fn conv_relu_max_pool(x: &[f32], w: &[f32], bias: &[f32], s: ConvShape) -> (
     let mut packed = vec![(0.0f32, 0u32); s.docs * s.filters];
     let grain = ConvShape::grain(s.windows() * s.window_len() * s.filters);
     runtime::parallel_rows_mut(&mut packed, s.filters, grain, |doc0, out| {
-        conv_pool_docs(x, w, bias, s, doc0, out, |a, b, c, m, k, n| gemm_rows(a, b, c, 0, m, k, n));
+        conv_pool_docs(x, w, bias, s, doc0, out);
     });
     packed.into_iter().unzip()
 }
 
-/// Serial twin of [`conv_relu_max_pool`] — scalar [`gemm_serial`], one
-/// thread.
+/// Serial twin of [`conv_relu_max_pool`]: the composed path on one thread
+/// — every window copied out (unfold), one scalar [`gemm_serial`], then
+/// the scalar pool scan.
 pub fn conv_relu_max_pool_serial(x: &[f32], w: &[f32], bias: &[f32], s: ConvShape) -> (Vec<f32>, Vec<u32>) {
     s.check(x.len(), w.len(), bias.len());
-    let mut packed = vec![(0.0f32, 0u32); s.docs * s.filters];
-    conv_pool_docs(x, w, bias, s, 0, &mut packed, gemm_serial);
+    let (t, kd, f) = (s.windows(), s.window_len(), s.filters);
+    let mut windows = Vec::with_capacity(s.docs * t * kd);
+    for doc in x.chunks(s.doc_len()) {
+        for wi in 0..t {
+            windows.extend_from_slice(&doc[wi * s.dim..wi * s.dim + kd]);
+        }
+    }
+    let mut pre = vec![0.0f32; s.docs * t * f];
+    gemm_serial(&windows, w, &mut pre, s.docs * t, kd, f);
+    let mut packed = vec![(0.0f32, 0u32); s.docs * f];
+    for (slots, doc_pre) in packed.chunks_mut(f).zip(pre.chunks(t * f)) {
+        relu_max_pool_scalar(doc_pre, bias, slots);
+    }
     packed.into_iter().unzip()
 }
 

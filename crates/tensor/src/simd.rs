@@ -7,11 +7,26 @@
 //! the vector path is unavailable so the caller runs its scalar twin, and
 //! only enters the `unsafe` AVX2 code after the cached CPUID check.
 //!
+//! Every length the `unsafe` bodies rely on is checked with `assert!` in
+//! the safe wrapper, before the dispatch check, so a short slice panics
+//! under both `OM_SIMD` legs instead of being read or written past its end.
+//!
+//! The GEMM micro-kernel ([`gemm_rows`]) is one tile body, generic over
+//! rows (4, or 1 for the ragged rows) and width (1–3 vectors of 8
+//! columns, the last one masked for a column tail): 4×24 tiles hold 12
+//! accumulators across the whole `p` loop. The scalar kernel skips a `p`
+//! where all four rows' `a` is zero; here one vector scan per row group
+//! decides whether such a `p` exists, and only groups that have one run
+//! the per-`p` test. The `p` loop itself runs on raw pointers, covered by
+//! the wrapper's asserts. It takes a row stride, so a TextCNN document's
+//! overlapping windows multiply in place.
+//!
 //! Two numeric tiers, enforced by `tests/parity.rs`:
 //!
 //! * **Bitwise** — kernels whose vector port performs exactly the scalar
 //!   operation sequence per output element: the GEMM micro-tile
-//!   (separate multiply and add, never FMA, `p` increasing), lanewise
+//!   (separate multiply and add, never FMA, `p` increasing), the TextCNN
+//!   pool scan (bias, ReLU, strict-`>` max in window order), lanewise
 //!   elementwise ops, `pair_rows` copies and int8 dequantisation. These
 //!   register `ulp_tolerance` 0.
 //! * **ULP-bounded** — kernels that reorder a reduction across the
@@ -110,27 +125,61 @@ pub fn sum_chunk(x: &[f32]) -> Option<f32> {
     None
 }
 
-/// GEMM row block `c_block += a[row0..row0+rows] · b`, same contract as
-/// the scalar `gemm_rows`: per output element the accumulation order is
-/// `p = 0..k` with separate multiply and add (no FMA), starting from the
-/// incoming `c` value, and a four-row group skips `p` only when all four
-/// lanes are exactly zero. Column tails narrower than 8 run as masked
-/// 8-lane tiles with the same per-lane sequence. Bitwise tier.
+/// Whether rows `0..rows` of a matrix with row stride `lda` and `k`
+/// columns lie inside `a`: `(rows − 1)·lda + k ≤ a.len()`, without
+/// overflow. Rows may overlap (`lda < k`).
+pub(crate) fn rows_fit(a_len: usize, lda: usize, rows: usize, k: usize) -> bool {
+    rows == 0 || (rows - 1).checked_mul(lda).and_then(|v| v.checked_add(k)).is_some_and(|end| end <= a_len)
+}
+
+/// GEMM row block `c_block += A · b`, where row `i` of `A` is
+/// `a[i·lda .. i·lda + k]` (rows may overlap: a TextCNN document's
+/// windows are its rows at `lda = dim`). Same contract as the scalar
+/// `gemm_rows`: per output element the accumulation order is `p = 0..k`
+/// with separate multiply and add (no FMA), starting from the incoming
+/// `c` value, and a four-row group skips `p` only when all four lanes are
+/// exactly zero. Bitwise tier.
 #[inline]
-pub fn gemm_rows(a: &[f32], b: &[f32], c_block: &mut [f32], row0: usize, rows: usize, k: usize, n: usize) -> bool {
+pub fn gemm_rows(a: &[f32], lda: usize, b: &[f32], c_block: &mut [f32], rows: usize, k: usize, n: usize) -> bool {
+    assert!(rows_fit(a.len(), lda, rows, k), "gemm_rows: a is too short for {rows} rows of stride {lda} and width {k}");
+    assert!(k.checked_mul(n).is_some_and(|kn| b.len() >= kn), "gemm_rows: b is shorter than k·n");
+    assert!(rows.checked_mul(n).is_some_and(|rn| c_block.len() >= rn), "gemm_rows: c_block is shorter than rows·n");
     #[cfg(target_arch = "x86_64")]
     if active() {
-        // SAFETY: `active()` implies `is_x86_feature_detected!("avx2")`.
-        unsafe { x86::gemm_rows_avx2(a, b, c_block, row0, rows, k, n) };
+        // SAFETY: `active()` implies `is_x86_feature_detected!("avx2")`;
+        // the asserts above are the slice bounds the kernel relies on.
+        unsafe { x86::gemm_rows_avx2(a, lda, b, c_block, rows, k, n) };
         return true;
     }
-    let _ = (a, b, c_block, row0, rows, k, n);
+    false
+}
+
+/// TextCNN pool scan of one document: `pre [t, f]` holds the window
+/// pre-activations (`f = bias.len()`). For each filter, `best` gets the
+/// max over windows of `max(pre + bias, 0)` and `win` the first window
+/// that reached it (strict `>` from −∞, window order), or
+/// [`NO_WINNER`](crate::kernels::NO_WINNER) where the max is 0. Lanewise
+/// over 8 filters, then a scalar tail: the same operations per filter as
+/// the scalar scan. Bitwise tier.
+#[inline]
+pub fn relu_max_pool(pre: &[f32], bias: &[f32], best: &mut [f32], win: &mut [u32]) -> bool {
+    let f = bias.len();
+    assert!(f > 0 && pre.len().is_multiple_of(f), "relu_max_pool: pre is not [windows, filters]");
+    assert!(best.len() == f && win.len() == f, "relu_max_pool: outputs are not [filters]");
+    #[cfg(target_arch = "x86_64")]
+    if active() {
+        // SAFETY: `active()` implies `is_x86_feature_detected!("avx2")`;
+        // the asserts above are the slice bounds the kernel relies on.
+        unsafe { x86::relu_max_pool_avx2(pre, bias, best, win) };
+        return true;
+    }
     false
 }
 
 /// Lanewise `out[i] = a[i] + b[i]`. Bitwise tier.
 #[inline]
 pub fn add_chunk(a: &[f32], b: &[f32], out: &mut [f32]) -> bool {
+    assert!(a.len() == out.len() && b.len() == out.len(), "add_chunk: length mismatch");
     #[cfg(target_arch = "x86_64")]
     if active() {
         // SAFETY: `active()` implies `is_x86_feature_detected!("avx2")`.
@@ -144,6 +193,7 @@ pub fn add_chunk(a: &[f32], b: &[f32], out: &mut [f32]) -> bool {
 /// Lanewise `out[i] = a[i] - b[i]`. Bitwise tier.
 #[inline]
 pub fn sub_chunk(a: &[f32], b: &[f32], out: &mut [f32]) -> bool {
+    assert!(a.len() == out.len() && b.len() == out.len(), "sub_chunk: length mismatch");
     #[cfg(target_arch = "x86_64")]
     if active() {
         // SAFETY: `active()` implies `is_x86_feature_detected!("avx2")`.
@@ -157,6 +207,7 @@ pub fn sub_chunk(a: &[f32], b: &[f32], out: &mut [f32]) -> bool {
 /// Lanewise `out[i] = a[i] * b[i]`. Bitwise tier.
 #[inline]
 pub fn mul_chunk(a: &[f32], b: &[f32], out: &mut [f32]) -> bool {
+    assert!(a.len() == out.len() && b.len() == out.len(), "mul_chunk: length mismatch");
     #[cfg(target_arch = "x86_64")]
     if active() {
         // SAFETY: `active()` implies `is_x86_feature_detected!("avx2")`.
@@ -170,6 +221,7 @@ pub fn mul_chunk(a: &[f32], b: &[f32], out: &mut [f32]) -> bool {
 /// Lanewise `out[i] = x[i] * s`. Bitwise tier.
 #[inline]
 pub fn scale_chunk(x: &[f32], s: f32, out: &mut [f32]) -> bool {
+    assert_eq!(x.len(), out.len(), "scale_chunk: length mismatch");
     #[cfg(target_arch = "x86_64")]
     if active() {
         // SAFETY: `active()` implies `is_x86_feature_detected!("avx2")`.
@@ -185,6 +237,7 @@ pub fn scale_chunk(x: &[f32], s: f32, out: &mut [f32]) -> bool {
 /// the tolerance tier. Finite inputs only.
 #[inline]
 pub fn log_softmax_row(src: &[f32], out: &mut [f32]) -> bool {
+    assert_eq!(src.len(), out.len(), "log_softmax_row: length mismatch");
     #[cfg(target_arch = "x86_64")]
     if active() {
         // SAFETY: `active()` implies `is_x86_feature_detected!("avx2")`.
@@ -200,6 +253,7 @@ pub fn log_softmax_row(src: &[f32], out: &mut [f32]) -> bool {
 /// rounding as the scalar loop, so this is the bitwise tier.
 #[inline]
 pub fn dequant_row(q: &[i8], scale: f32, out: &mut [f32]) -> bool {
+    assert_eq!(q.len(), out.len(), "dequant_row: length mismatch");
     #[cfg(target_arch = "x86_64")]
     if active() {
         // SAFETY: `active()` implies `is_x86_feature_detected!("avx2")`.
@@ -528,76 +582,53 @@ mod x86 {
         }
     }
 
-    // -- GEMM micro-tile -----------------------------------------------------
+    // -- TextCNN pool scan ---------------------------------------------------
 
-    /// Single output row `c_row += a_row · b`, vectorised over `j` with
-    /// 16-wide then 8-wide tiles and a masked 8-lane tile for the last
-    /// `n % 8` columns. Per element the order is `p = 0..k` with separate
-    /// mul/add, identical to the scalar kernel; `a_row[p] == 0.0` skips
-    /// exactly like the scalar kernel.
     #[target_feature(enable = "avx2")]
-    // SAFETY: AVX2 only (module contract); all loads/stores bounded by
-    // the tile loop conditions against `n` and `k`.
-    unsafe fn gemm_one_row_avx2(a_row: &[f32], b: &[f32], c_row: &mut [f32], k: usize, n: usize) {
-        let pb = b.as_ptr();
-        let pc = c_row.as_mut_ptr();
-        let mut jt = 0usize;
-        while jt + 16 <= n {
-            // SAFETY: jt+16 <= n bounds both c tiles; p*n+jt+16 <= k*n
-            // bounds the b loads.
+    // SAFETY: AVX2 only (module contract). The wrapper asserts
+    // `pre.len() = t·f` and `best.len() = win.len() = f = bias.len()`;
+    // every vector load/store below covers filters `j..j+8` with
+    // `j + 8 ≤ f` of one window row.
+    pub(super) unsafe fn relu_max_pool_avx2(pre: &[f32], bias: &[f32], best: &mut [f32], win: &mut [u32]) {
+        let f = bias.len();
+        let t = pre.len() / f;
+        let zero = _mm256_setzero_ps();
+        let no_winner = _mm256_castsi256_ps(_mm256_set1_epi32(crate::kernels::NO_WINNER as i32));
+        let mut j = 0usize;
+        while j + 8 <= f {
+            // SAFETY: j+8 <= f bounds the bias load, each window row's
+            // load at wi·f + j (wi < t) and the two stores.
             unsafe {
-                let mut acc0 = _mm256_loadu_ps(pc.add(jt));
-                let mut acc1 = _mm256_loadu_ps(pc.add(jt + 8));
-                for (p, &a_ip) in a_row.iter().enumerate() {
-                    if a_ip == 0.0 {
-                        continue;
-                    }
-                    let va = _mm256_set1_ps(a_ip);
-                    let b0 = _mm256_loadu_ps(pb.add(p * n + jt));
-                    let b1 = _mm256_loadu_ps(pb.add(p * n + jt + 8));
-                    acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(va, b0));
-                    acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(va, b1));
+                let vb = _mm256_loadu_ps(bias.as_ptr().add(j));
+                let mut top = _mm256_set1_ps(f32::NEG_INFINITY);
+                let mut at = zero;
+                for wi in 0..t {
+                    let z = _mm256_loadu_ps(pre.as_ptr().add(wi * f + j));
+                    let v = _mm256_max_ps(_mm256_add_ps(z, vb), zero);
+                    let won = _mm256_cmp_ps::<_CMP_GT_OQ>(v, top);
+                    top = _mm256_blendv_ps(top, v, won);
+                    at = _mm256_blendv_ps(at, _mm256_castsi256_ps(_mm256_set1_epi32(wi as i32)), won);
                 }
-                _mm256_storeu_ps(pc.add(jt), acc0);
-                _mm256_storeu_ps(pc.add(jt + 8), acc1);
+                at = _mm256_blendv_ps(at, no_winner, _mm256_cmp_ps::<_CMP_LE_OQ>(top, zero));
+                _mm256_storeu_ps(best.as_mut_ptr().add(j), top);
+                _mm256_storeu_si256(win.as_mut_ptr().add(j) as *mut __m256i, _mm256_castps_si256(at));
             }
-            jt += 16;
+            j += 8;
         }
-        if jt + 8 <= n {
-            // SAFETY: jt+8 <= n bounds the c tile and each b load.
-            unsafe {
-                let mut acc0 = _mm256_loadu_ps(pc.add(jt));
-                for (p, &a_ip) in a_row.iter().enumerate() {
-                    if a_ip == 0.0 {
-                        continue;
-                    }
-                    let va = _mm256_set1_ps(a_ip);
-                    acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(va, _mm256_loadu_ps(pb.add(p * n + jt))));
+        for j in j..f {
+            let (mut top, mut at) = (f32::NEG_INFINITY, 0u32);
+            for (wi, row) in pre.chunks_exact(f).enumerate() {
+                let v = (row[j] + bias[j]).max(0.0);
+                if v > top {
+                    (top, at) = (v, wi as u32);
                 }
-                _mm256_storeu_ps(pc.add(jt), acc0);
             }
-            jt += 8;
+            best[j] = top;
+            win[j] = if top <= 0.0 { crate::kernels::NO_WINNER } else { at };
         }
-        if jt < n {
-            // SAFETY: the mask enables exactly the n-jt < 8 in-bounds
-            // columns, so masked loads/stores touch only c_row[jt..n] and
-            // b[p*n+jt..p*n+n]; disabled lanes are neither read nor written.
-            unsafe {
-                let mask = tail_mask(n - jt);
-                let mut acc0 = _mm256_maskload_ps(pc.add(jt), mask);
-                for (p, &a_ip) in a_row.iter().enumerate() {
-                    if a_ip == 0.0 {
-                        continue;
-                    }
-                    let va = _mm256_set1_ps(a_ip);
-                    let b0 = _mm256_maskload_ps(pb.add(p * n + jt), mask);
-                    acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(va, b0));
-                }
-                _mm256_maskstore_ps(pc.add(jt), mask, acc0);
-            }
-        }
-        let _ = k;
     }
+
+    // -- GEMM micro-kernel ---------------------------------------------------
 
     /// Lane mask enabling the first `rem` (1..=7) of 8 lanes — the
     /// column tail of the GEMM tiles. A lane is enabled when its sign bit
@@ -611,150 +642,171 @@ mod x86 {
         )
     }
 
-    /// Four-row micro-tile: 16 output columns held in 8 accumulators
-    /// across the full `p` loop, `b` streamed once per tile; the last
-    /// `n % 8` columns run as one masked 8-lane tile, so narrow products
-    /// (the rating head's 5-wide output layer) stay off the scalar path.
-    /// The skip condition (all four `a` lanes exactly zero) and the
-    /// per-element order match the scalar four-row kernel bit for bit.
+    /// Whether some `p < k` has all `R` rows' `a` exactly zero: the only
+    /// steps the scalar kernel's skip test removes. One vector scan per
+    /// row group, so a group without such a `p` runs the tile body with
+    /// no per-`p` test at all.
     #[target_feature(enable = "avx2")]
-    // SAFETY: AVX2 only (module contract); bounds argued per tile below.
-    pub(super) unsafe fn gemm_rows_avx2(
-        a: &[f32],
-        b: &[f32],
-        c_block: &mut [f32],
-        row0: usize,
-        rows: usize,
+    // SAFETY: AVX2 only (module contract); the caller guarantees each
+    // `a[r]` points at `k` readable floats, and every load below stays in
+    // `p < k` by the loop conditions.
+    unsafe fn has_zero_step<const R: usize>(a: [*const f32; R], k: usize) -> bool {
+        let zero = _mm256_setzero_ps();
+        let mut p = 0usize;
+        while p + 8 <= k {
+            let mut all = _mm256_cmp_ps::<_CMP_EQ_OQ>(zero, zero);
+            for row in a {
+                // SAFETY: p+8 <= k keeps the load inside the row.
+                let v = unsafe { _mm256_loadu_ps(row.add(p)) };
+                all = _mm256_and_ps(all, _mm256_cmp_ps::<_CMP_EQ_OQ>(v, zero));
+            }
+            if _mm256_movemask_ps(all) != 0 {
+                return true;
+            }
+            p += 8;
+        }
+        // SAFETY: p < k for every read.
+        (p..k).any(|p| a.iter().all(|&row| unsafe { *row.add(p) } == 0.0))
+    }
+
+    /// One `R`-row × `8·V`-column register tile: `R·V` accumulators held
+    /// across the whole `p` loop, each `b` vector reused over the `R`
+    /// rows and each row's broadcast over the `V` vectors. Per element
+    /// the order is `p = 0..k`, multiply then add, from the incoming `c`.
+    /// With `SKIP`, a `p` where all `R` `a` values are exactly zero is
+    /// skipped, the scalar kernel's test; the caller picks `SKIP` from
+    /// [`has_zero_step`]. With `MASKED`, the last vector covers only the
+    /// lanes `mask` enables.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    // SAFETY: AVX2 only (module contract). The caller guarantees: each
+    // `a[r]` points at `k` readable floats; for every `p < k`,
+    // `b + p·n` starts `8·V` readable floats (the last vector's disabled
+    // lanes excepted); each `c[r]` starts `8·V` writable floats (same
+    // exception). No other memory is touched.
+    unsafe fn tile<const R: usize, const V: usize, const SKIP: bool, const MASKED: bool>(
+        a: [*const f32; R],
+        b: *const f32,
+        c: [*mut f32; R],
         k: usize,
         n: usize,
+        mask: __m256i,
     ) {
-        let pb = b.as_ptr();
-        let mut i = 0usize;
-        while i + 4 <= rows {
-            let (r0, r1, r2, r3) = (row0 + i, row0 + i + 1, row0 + i + 2, row0 + i + 3);
-            let a0_row = &a[r0 * k..(r0 + 1) * k];
-            let a1_row = &a[r1 * k..(r1 + 1) * k];
-            let a2_row = &a[r2 * k..(r2 + 1) * k];
-            let a3_row = &a[r3 * k..(r3 + 1) * k];
-            let (c01, c23) = c_block[i * n..(i + 4) * n].split_at_mut(2 * n);
-            let (c0, c1) = c01.split_at_mut(n);
-            let (c2, c3) = c23.split_at_mut(n);
-            let (pc0, pc1, pc2, pc3) = (c0.as_mut_ptr(), c1.as_mut_ptr(), c2.as_mut_ptr(), c3.as_mut_ptr());
-            let mut jt = 0usize;
-            while jt + 16 <= n {
-                // SAFETY: jt+16 <= n bounds every c tile; p*n+jt+16 <=
-                // k*n bounds the b loads.
-                unsafe {
-                    let mut acc00 = _mm256_loadu_ps(pc0.add(jt));
-                    let mut acc01 = _mm256_loadu_ps(pc0.add(jt + 8));
-                    let mut acc10 = _mm256_loadu_ps(pc1.add(jt));
-                    let mut acc11 = _mm256_loadu_ps(pc1.add(jt + 8));
-                    let mut acc20 = _mm256_loadu_ps(pc2.add(jt));
-                    let mut acc21 = _mm256_loadu_ps(pc2.add(jt + 8));
-                    let mut acc30 = _mm256_loadu_ps(pc3.add(jt));
-                    let mut acc31 = _mm256_loadu_ps(pc3.add(jt + 8));
-                    for p in 0..k {
-                        let a0 = a0_row[p];
-                        let a1 = a1_row[p];
-                        let a2 = a2_row[p];
-                        let a3 = a3_row[p];
-                        if a0 == 0.0 && a1 == 0.0 && a2 == 0.0 && a3 == 0.0 {
-                            continue;
-                        }
-                        let b0 = _mm256_loadu_ps(pb.add(p * n + jt));
-                        let b1 = _mm256_loadu_ps(pb.add(p * n + jt + 8));
-                        let va0 = _mm256_set1_ps(a0);
-                        acc00 = _mm256_add_ps(acc00, _mm256_mul_ps(va0, b0));
-                        acc01 = _mm256_add_ps(acc01, _mm256_mul_ps(va0, b1));
-                        let va1 = _mm256_set1_ps(a1);
-                        acc10 = _mm256_add_ps(acc10, _mm256_mul_ps(va1, b0));
-                        acc11 = _mm256_add_ps(acc11, _mm256_mul_ps(va1, b1));
-                        let va2 = _mm256_set1_ps(a2);
-                        acc20 = _mm256_add_ps(acc20, _mm256_mul_ps(va2, b0));
-                        acc21 = _mm256_add_ps(acc21, _mm256_mul_ps(va2, b1));
-                        let va3 = _mm256_set1_ps(a3);
-                        acc30 = _mm256_add_ps(acc30, _mm256_mul_ps(va3, b0));
-                        acc31 = _mm256_add_ps(acc31, _mm256_mul_ps(va3, b1));
-                    }
-                    _mm256_storeu_ps(pc0.add(jt), acc00);
-                    _mm256_storeu_ps(pc0.add(jt + 8), acc01);
-                    _mm256_storeu_ps(pc1.add(jt), acc10);
-                    _mm256_storeu_ps(pc1.add(jt + 8), acc11);
-                    _mm256_storeu_ps(pc2.add(jt), acc20);
-                    _mm256_storeu_ps(pc2.add(jt + 8), acc21);
-                    _mm256_storeu_ps(pc3.add(jt), acc30);
-                    _mm256_storeu_ps(pc3.add(jt + 8), acc31);
-                }
-                jt += 16;
-            }
-            if jt + 8 <= n {
-                // SAFETY: jt+8 <= n bounds every c tile and b load.
-                unsafe {
-                    let mut acc00 = _mm256_loadu_ps(pc0.add(jt));
-                    let mut acc10 = _mm256_loadu_ps(pc1.add(jt));
-                    let mut acc20 = _mm256_loadu_ps(pc2.add(jt));
-                    let mut acc30 = _mm256_loadu_ps(pc3.add(jt));
-                    for p in 0..k {
-                        let a0 = a0_row[p];
-                        let a1 = a1_row[p];
-                        let a2 = a2_row[p];
-                        let a3 = a3_row[p];
-                        if a0 == 0.0 && a1 == 0.0 && a2 == 0.0 && a3 == 0.0 {
-                            continue;
-                        }
-                        let b0 = _mm256_loadu_ps(pb.add(p * n + jt));
-                        acc00 = _mm256_add_ps(acc00, _mm256_mul_ps(_mm256_set1_ps(a0), b0));
-                        acc10 = _mm256_add_ps(acc10, _mm256_mul_ps(_mm256_set1_ps(a1), b0));
-                        acc20 = _mm256_add_ps(acc20, _mm256_mul_ps(_mm256_set1_ps(a2), b0));
-                        acc30 = _mm256_add_ps(acc30, _mm256_mul_ps(_mm256_set1_ps(a3), b0));
-                    }
-                    _mm256_storeu_ps(pc0.add(jt), acc00);
-                    _mm256_storeu_ps(pc1.add(jt), acc10);
-                    _mm256_storeu_ps(pc2.add(jt), acc20);
-                    _mm256_storeu_ps(pc3.add(jt), acc30);
-                }
-                jt += 8;
-            }
-            if jt < n {
-                // SAFETY: the mask enables exactly the n-jt < 8 in-bounds
-                // columns of every c tile and b row; disabled lanes are
-                // neither read nor written.
-                unsafe {
-                    let mask = tail_mask(n - jt);
-                    let mut acc00 = _mm256_maskload_ps(pc0.add(jt), mask);
-                    let mut acc10 = _mm256_maskload_ps(pc1.add(jt), mask);
-                    let mut acc20 = _mm256_maskload_ps(pc2.add(jt), mask);
-                    let mut acc30 = _mm256_maskload_ps(pc3.add(jt), mask);
-                    for p in 0..k {
-                        let a0 = a0_row[p];
-                        let a1 = a1_row[p];
-                        let a2 = a2_row[p];
-                        let a3 = a3_row[p];
-                        if a0 == 0.0 && a1 == 0.0 && a2 == 0.0 && a3 == 0.0 {
-                            continue;
-                        }
-                        let b0 = _mm256_maskload_ps(pb.add(p * n + jt), mask);
-                        acc00 = _mm256_add_ps(acc00, _mm256_mul_ps(_mm256_set1_ps(a0), b0));
-                        acc10 = _mm256_add_ps(acc10, _mm256_mul_ps(_mm256_set1_ps(a1), b0));
-                        acc20 = _mm256_add_ps(acc20, _mm256_mul_ps(_mm256_set1_ps(a2), b0));
-                        acc30 = _mm256_add_ps(acc30, _mm256_mul_ps(_mm256_set1_ps(a3), b0));
-                    }
-                    _mm256_maskstore_ps(pc0.add(jt), mask, acc00);
-                    _mm256_maskstore_ps(pc1.add(jt), mask, acc10);
-                    _mm256_maskstore_ps(pc2.add(jt), mask, acc20);
-                    _mm256_maskstore_ps(pc3.add(jt), mask, acc30);
+        let masked = |v: usize| MASKED && v + 1 == V;
+        let mut acc = [[_mm256_setzero_ps(); V]; R];
+        // SAFETY: every pointer below is inside the ranges the caller
+        // guarantees (see the function's contract); masked loads and
+        // stores touch only the enabled lanes.
+        unsafe {
+            for (row, c_row) in acc.iter_mut().zip(c) {
+                for (v, slot) in row.iter_mut().enumerate() {
+                    let at = c_row.add(8 * v);
+                    *slot = if masked(v) { _mm256_maskload_ps(at, mask) } else { _mm256_loadu_ps(at) };
                 }
             }
-            i += 4;
+            for p in 0..k {
+                let av: [f32; R] = std::array::from_fn(|r| *a[r].add(p));
+                if SKIP && av.iter().all(|&x| x == 0.0) {
+                    continue;
+                }
+                let mut bv = [_mm256_setzero_ps(); V];
+                for (v, slot) in bv.iter_mut().enumerate() {
+                    let at = b.add(p * n + 8 * v);
+                    *slot = if masked(v) { _mm256_maskload_ps(at, mask) } else { _mm256_loadu_ps(at) };
+                }
+                for r in 0..R {
+                    let va = _mm256_set1_ps(av[r]);
+                    for v in 0..V {
+                        acc[r][v] = _mm256_add_ps(acc[r][v], _mm256_mul_ps(va, bv[v]));
+                    }
+                }
+            }
+            for (row, c_row) in acc.iter().zip(c) {
+                for (v, &sum) in row.iter().enumerate() {
+                    let at = c_row.add(8 * v);
+                    if masked(v) {
+                        _mm256_maskstore_ps(at, mask, sum);
+                    } else {
+                        _mm256_storeu_ps(at, sum);
+                    }
+                }
+            }
         }
-        // Ragged row tail.
-        while i < rows {
-            let r = row0 + i;
-            // SAFETY: AVX2 enabled for this fn (module contract).
-            unsafe {
-                gemm_one_row_avx2(&a[r * k..(r + 1) * k], b, &mut c_block[i * n..(i + 1) * n], k, n);
+    }
+
+    /// All `n` columns of an `R`-row group: 24-column tiles, then one tile
+    /// of 1–3 vectors over the rest, its last vector masked when `n % 8`
+    /// is not 0 (the rating head's 5-wide layer 2 is one masked vector).
+    #[target_feature(enable = "avx2")]
+    // SAFETY: AVX2 only (module contract). The caller guarantees each
+    // `a[r]` points at `k` readable floats, `b` at `k·n` and each `c[r]`
+    // at `n` writable ones; every tile below stays in columns `< n`.
+    unsafe fn gemm_group<const R: usize, const SKIP: bool>(a: [*const f32; R], b: *const f32, c: [*mut f32; R], k: usize, n: usize) {
+        let at = |j: usize| c.map(|row| row.wrapping_add(j));
+        let full = _mm256_setzero_si256();
+        let mut j = 0usize;
+        // SAFETY: each tile covers columns j..j+24 <= n, or in the tail
+        // j..n with the lanes past n masked off.
+        unsafe {
+            while j + 24 <= n {
+                tile::<R, 3, SKIP, false>(a, b.add(j), at(j), k, n, full);
+                j += 24;
             }
-            i += 1;
+            let (rem, bj) = (n - j, b.wrapping_add(j));
+            let mask = tail_mask(rem % 8);
+            match (rem.div_ceil(8), rem % 8 == 0) {
+                (0, _) => {}
+                (1, true) => tile::<R, 1, SKIP, false>(a, bj, at(j), k, n, full),
+                (1, false) => tile::<R, 1, SKIP, true>(a, bj, at(j), k, n, mask),
+                (2, true) => tile::<R, 2, SKIP, false>(a, bj, at(j), k, n, full),
+                (2, false) => tile::<R, 2, SKIP, true>(a, bj, at(j), k, n, mask),
+                _ => tile::<R, 3, SKIP, true>(a, bj, at(j), k, n, mask),
+            }
+        }
+    }
+
+    /// One row group: decide the zero-step skip once, then run the group's
+    /// columns with or without the per-`p` test.
+    #[target_feature(enable = "avx2")]
+    // SAFETY: AVX2 only (module contract); same pointer contract as
+    // [`gemm_group`].
+    unsafe fn gemm_rows_of<const R: usize>(a: [*const f32; R], b: *const f32, c: [*mut f32; R], k: usize, n: usize) {
+        // SAFETY: forwarded from the caller.
+        unsafe {
+            if has_zero_step(a, k) {
+                gemm_group::<R, true>(a, b, c, k, n);
+            } else {
+                gemm_group::<R, false>(a, b, c, k, n);
+            }
+        }
+    }
+
+    /// `c[rows, n] += A · b`, row `i` of `A` at `a[i·lda..i·lda + k]`: four
+    /// rows at a time, so each streamed `b` vector is reused fourfold, then
+    /// the ragged rows one at a time. A four-row group skips `p` only when
+    /// all four `a` lanes are zero, a single row when its own is, which is
+    /// the scalar kernel's rule bit for bit.
+    #[target_feature(enable = "avx2")]
+    // SAFETY: AVX2 only (module contract). The safe wrapper asserts
+    // `(rows − 1)·lda + k ≤ a.len()`, `b.len() ≥ k·n` and
+    // `c.len() ≥ rows·n`, which are exactly the ranges the groups read
+    // and write.
+    pub(super) unsafe fn gemm_rows_avx2(a: &[f32], lda: usize, b: &[f32], c: &mut [f32], rows: usize, k: usize, n: usize) {
+        let (pa, pb, pc) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+        let mut i = 0usize;
+        // SAFETY: row i+r < rows starts at (i+r)·lda in `a` and (i+r)·n
+        // in `c`, inside the asserted ranges.
+        unsafe {
+            while i + 4 <= rows {
+                let ra: [*const f32; 4] = std::array::from_fn(|r| pa.wrapping_add((i + r) * lda));
+                let rc: [*mut f32; 4] = std::array::from_fn(|r| pc.wrapping_add((i + r) * n));
+                gemm_rows_of::<4>(ra, pb, rc, k, n);
+                i += 4;
+            }
+            while i < rows {
+                gemm_rows_of::<1>([pa.wrapping_add(i * lda)], pb, [pc.wrapping_add(i * n)], k, n);
+                i += 1;
+            }
         }
     }
 }

@@ -6,7 +6,10 @@
 //! Each case draws its shape and data from one seed: random batch,
 //! length, embedding width, kernel width and filter count, with one
 //! window per document (t = 1) and single-document batches forced on a
-//! share of the seeds. Every case also plants an all-zero (padding)
+//! share of the seeds. Half the seeds take the filter count from
+//! [`FILTERS`], so the pool scan's 8-filter vectors and its scalar tail
+//! both run, and the paper-dims test sweeps those counts at every window
+//! count mod 4 (the GEMM's ragged rows per document). Every case also plants an all-zero (padding)
 //! document, a constant document (all windows tie, so the first must
 //! win), filters whose pre-activation is ≤ 0 on every window, and exact
 //! `0.0` / `-0.0` upstream gradients.
@@ -44,13 +47,17 @@ struct Case {
     g: Vec<f32>,
 }
 
+/// Filter counts around the pool scan's 8-lane vectors: scalar tail only
+/// (1, 7), one vector (8), the paper's three (24) and three plus a tail.
+const FILTERS: [usize; 5] = [1, 7, 8, 24, 25];
+
 fn draw(seed: u64) -> Case {
     let rng: &mut Rng = &mut seeded_rng(seed);
     let b = if seed.is_multiple_of(4) { 1 } else { rng.random_range(1..=9) };
     let l = rng.random_range(1..=14);
     let k = if seed.is_multiple_of(5) { l } else { rng.random_range(1..=l) };
     let d = rng.random_range(1..=6);
-    let f = rng.random_range(1..=10);
+    let f = if seed.is_multiple_of(2) { FILTERS[rng.random_range(0..FILTERS.len())] } else { rng.random_range(1..=10) };
     let mut x = init::uniform(&[b, l, d], -1.0, 1.0, rng).to_vec();
     let doc = l * d;
     let padding = rng.random_range(0..b);
@@ -142,29 +149,35 @@ proptest! {
 
 #[test]
 fn fused_branch_equals_composed_ops_at_paper_dims() {
-    // Past the forward's 4-document GEMM block and every pool grain.
+    // Past every pool grain, at each of [`FILTERS`] and at widths 3–6, so
+    // a document's t = 46, 45, 44, 43 windows leave each ragged row count
+    // (t mod 4 = 2, 1, 0, 3) after the GEMM's four-row groups.
     let _guard = thread_lock();
-    let (b, l, d, k, f) = (64usize, 48usize, 24usize, 4usize, 24usize);
-    let rng = &mut seeded_rng(7);
-    let mut x = init::normal(&[b, l, d], 1.0, rng).to_vec();
-    x[5 * l * d..6 * l * d].fill(0.0);
-    let c = Case {
-        b,
-        l,
-        d,
-        k,
-        f,
-        x,
-        w: init::normal(&[k * d, f], 0.2, rng).to_vec(),
-        bias: init::uniform(&[f], -0.1, 0.1, rng).to_vec(),
-        g: init::normal(&[b, f], 1.0, rng).to_vec(),
-    };
-    let reference = run(&c, false).map(|v| bits(&v));
-    for threads in [1, runtime::max_threads()] {
-        let prev = runtime::set_threads(threads);
-        let got = run(&c, true).map(|v| bits(&v));
-        runtime::set_threads(prev);
-        assert_eq!(reference, got, "{threads} threads");
+    let (b, l, d) = (64usize, 48usize, 24usize);
+    for f in FILTERS {
+        for k in 3..=6 {
+            let rng = &mut seeded_rng(7 + (f * 10 + k) as u64);
+            let mut x = init::normal(&[b, l, d], 1.0, rng).to_vec();
+            x[5 * l * d..6 * l * d].fill(0.0);
+            let c = Case {
+                b,
+                l,
+                d,
+                k,
+                f,
+                x,
+                w: init::normal(&[k * d, f], 0.2, rng).to_vec(),
+                bias: init::uniform(&[f], -0.1, 0.1, rng).to_vec(),
+                g: init::normal(&[b, f], 1.0, rng).to_vec(),
+            };
+            let reference = run(&c, false).map(|v| bits(&v));
+            for threads in [1, runtime::max_threads()] {
+                let prev = runtime::set_threads(threads);
+                let got = run(&c, true).map(|v| bits(&v));
+                runtime::set_threads(prev);
+                assert_eq!(reference, got, "f {f} k {k}, {threads} threads");
+            }
+        }
     }
 }
 

@@ -18,8 +18,10 @@
 //!
 //! Shapes deliberately include 1×1, 1×N, tall-skinny, wide-short, and
 //! odd/prime sizes to hit every ragged-tail branch of the blocked GEMM,
-//! the 16/8/scalar column tiles of the AVX2 micro-kernel, and the chunked
-//! reductions.
+//! the 24-column tile and its 1–3-vector (masked) remainders in the AVX2
+//! micro-kernel, both sides of its hoisted zero-step scan, and the
+//! chunked reductions. The `should_panic` cases hold every safe SIMD
+//! entry point to its slice bounds.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -112,6 +114,15 @@ fn gemm_with_zero_rows_matches_serial_bitwise() {
 /// tile and the single-row tail. 5 is the rating head's output layer.
 const TAIL_NS: &[usize] = &[1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 21, 22, 36, 39];
 
+/// Column counts around the 24-wide register tile: one and two whole
+/// tiles, each ±1 (a 1-, 2- or 3-vector remainder, masked or not), and
+/// the model's 72- and 96-wide layers.
+const TILE_NS: &[usize] = &[23, 24, 25, 47, 48, 49, 72, 96];
+
+/// Depths for the hoisted zero-step scan: below one 8-lane vector (scalar
+/// tail only), exactly one, one plus a tail, and the conv window widths.
+const TILE_KS: &[usize] = &[1, 7, 8, 9, 72, 120];
+
 #[test]
 fn gemm_column_tails_match_serial_reference_bitwise() {
     for &n in TAIL_NS {
@@ -136,6 +147,248 @@ fn gemm_column_tails_match_serial_reference_bitwise() {
             assert_eq!(bits(&serial), bits(&c), "gemm tail {m}x{k}x{n} vs serial reference");
         }
     }
+    // The 24-wide tile and its remainders at every scan depth; m = 7 is
+    // one four-row group and three single rows. Every fifth `a` entry is
+    // zero, so some groups take the per-`p` test and some do not.
+    for &n in TILE_NS {
+        for &k in TILE_KS {
+            let m = 7;
+            let mut a: Vec<f32> = (0..m * k).map(|i| ((i * 37) % 101) as f32 * 0.173 - 8.0).collect();
+            for v in a.iter_mut().step_by(5) {
+                *v = 0.0;
+            }
+            let b: Vec<f32> = (0..k * n).map(|i| ((i * 53) % 89) as f32 * 0.211 - 9.0).collect();
+            let mut serial = vec![0.0f32; m * n];
+            kernels::gemm_serial(&a, &b, &mut serial, m, k, n);
+            assert_parity(&format!("gemm tile {m}x{k}x{n}"), || {
+                let mut c = vec![0.0f32; m * n];
+                kernels::gemm(&a, &b, &mut c, m, k, n);
+                c
+            });
+            let mut c = vec![0.0f32; m * n];
+            kernels::gemm(&a, &b, &mut c, m, k, n);
+            assert_eq!(bits(&serial), bits(&c), "gemm tile {m}x{k}x{n} vs serial reference");
+        }
+    }
+}
+
+#[test]
+fn gemm_row_groups_on_both_sides_of_the_skip_decision_match_serial_bitwise() {
+    // One call, five four-row groups and two ragged rows, k = 75 (nine
+    // vectors of the zero-step scan plus a 3-wide scalar tail):
+    // group 0 has no zero at all; group 1 is all zero at p = 5 (inside a
+    // scan vector); group 2 at p = 73 (in the scan's scalar tail); group
+    // 3 has exactly one all-zero row and no all-zero p; group 4 is zero
+    // at p = 40 in three rows only. Ragged row 20 is all zero, row 21
+    // zero at every even p.
+    let (m, k, n) = (22usize, 75usize, 49usize);
+    let mut a: Vec<f32> = (0..m * k).map(|i| ((i * 43) % 97) as f32 * 0.19 - 9.0).collect();
+    for v in a.iter_mut().filter(|v| **v == 0.0) {
+        *v = 0.5;
+    }
+    for r in 4..8 {
+        a[r * k + 5] = 0.0;
+    }
+    for r in 8..12 {
+        a[r * k + 73] = 0.0;
+    }
+    a[13 * k..14 * k].fill(0.0);
+    for r in 16..19 {
+        a[r * k + 40] = 0.0;
+    }
+    a[20 * k..21 * k].fill(0.0);
+    for p in (0..k).step_by(2) {
+        a[21 * k + p] = 0.0;
+    }
+    let b: Vec<f32> = (0..k * n).map(|i| ((i * 29) % 83) as f32 * 0.23 - 9.5).collect();
+    let mut serial = vec![0.0f32; m * n];
+    kernels::gemm_serial(&a, &b, &mut serial, m, k, n);
+    assert_parity("gemm mixed skip groups", || {
+        let mut c = vec![0.0f32; m * n];
+        kernels::gemm(&a, &b, &mut c, m, k, n);
+        c
+    });
+    let mut c = vec![0.0f32; m * n];
+    kernels::gemm(&a, &b, &mut c, m, k, n);
+    assert_eq!(bits(&serial), bits(&c), "gemm mixed skip groups vs serial reference");
+}
+
+#[test]
+fn gemm_strided_matches_gemm_serial_on_the_gathered_rows_bitwise() {
+    // Overlapping rows (`lda = dim < k`: a document's conv windows read in
+    // place), disjoint rows with a gap (`lda > k`) and the dense case, on
+    // both sides of the parallel threshold, with zero tokens so the skip
+    // scan fires on some groups.
+    for &(m, lda, k, n) in &[
+        (46usize, 24usize, 72usize, 24usize),
+        (45, 24, 96, 24),
+        (7, 3, 9, 25),
+        (200, 8, 40, 24),
+        (13, 11, 8, 5),
+        (9, 6, 6, 49),
+    ] {
+        let len = (m - 1) * lda + k;
+        let mut a: Vec<f32> = (0..len).map(|i| ((i * 37) % 101) as f32 * 0.173 - 8.0).collect();
+        for tok in a.chunks_mut(lda.max(1)).step_by(4) {
+            tok.fill(0.0);
+        }
+        let b: Vec<f32> = (0..k * n).map(|i| ((i * 53) % 89) as f32 * 0.211 - 9.0).collect();
+        let gathered: Vec<f32> = (0..m).flat_map(|i| a[i * lda..i * lda + k].to_vec()).collect();
+        let mut want = vec![0.0f32; m * n];
+        kernels::gemm_serial(&gathered, &b, &mut want, m, k, n);
+        let mut twin = vec![0.0f32; m * n];
+        kernels::gemm_strided_serial(&a, lda, &b, &mut twin, m, k, n);
+        assert_eq!(bits(&want), bits(&twin), "gemm_strided_serial {m}x{k}x{n} lda {lda}");
+        assert_parity(&format!("gemm_strided {m}x{k}x{n} lda {lda}"), || {
+            let mut c = vec![0.0f32; m * n];
+            kernels::gemm_strided(&a, lda, &b, &mut c, m, k, n);
+            c
+        });
+        let mut c = vec![0.0f32; m * n];
+        kernels::gemm_strided(&a, lda, &b, &mut c, m, k, n);
+        assert_eq!(bits(&want), bits(&c), "gemm_strided {m}x{k}x{n} lda {lda} vs gathered serial");
+    }
+    assert_eq!(ulp_tolerance("gemm_strided"), 0, "gemm_strided runs gemm's micro-kernel — always bitwise");
+}
+
+#[test]
+fn gemm_keeps_serial_bits_when_c_holds_no_negative_zero() {
+    // The counterexample shape: row 0 of `a` all zero, rows 1–3 not, so
+    // the four-row kernel adds row 0's `0·b` where the oracle skips it.
+    // From `+0.0` (every caller's seed) that is a no-op and row 0 stays
+    // `+0.0`; a `-0.0` seed is outside the contract (next test).
+    let (m, k, n) = (4usize, 3usize, 8usize);
+    let mut a: Vec<f32> = (0..m * k).map(|i| i as f32 * 0.5 - 2.25).collect();
+    a[..k].fill(0.0);
+    let b: Vec<f32> = (0..k * n).map(|i| ((i * 7) % 5) as f32 - 2.0).collect();
+    for seed in [0.0f32, 1.5] {
+        let mut want = vec![seed; m * n];
+        kernels::gemm_serial(&a, &b, &mut want, m, k, n);
+        let mut c = vec![seed; m * n];
+        kernels::gemm(&a, &b, &mut c, m, k, n);
+        assert_eq!(bits(&want), bits(&c), "gemm from c = {seed}");
+        assert!(c[..n].iter().all(|v| v.to_bits() == seed.to_bits()), "row 0 keeps its seed {seed}");
+    }
+}
+
+/// `-0.0` in `c` is outside `gemm`'s contract: the four-row kernel may
+/// return `+0.0` where `gemm_serial` keeps `-0.0`. Debug builds assert it.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "c holds -0.0")]
+fn gemm_rejects_negative_zero_in_c() {
+    let (m, k, n) = (4usize, 3usize, 8usize);
+    let mut a = vec![1.0f32; m * k];
+    a[..k].fill(0.0);
+    let mut c = vec![-0.0f32; m * n];
+    kernels::gemm(&a, &[1.0; 24], &mut c, m, k, n);
+}
+
+// ---------------------------------------------------------------------------
+// Bounds at the safe entry points. Each length an `unsafe` body relies on
+// is asserted before the dispatch check, so every case below panics under
+// both `OM_SIMD` legs instead of reading or writing past a slice.
+// ---------------------------------------------------------------------------
+
+#[test]
+#[should_panic(expected = "b is not [k, n]")]
+fn gemm_rejects_a_short_b() {
+    let big = [1.0f32; 64];
+    let mut c = [0.0f32; 16];
+    kernels::gemm(&big[..16], &big[..48], &mut c, 4, 4, 16);
+}
+
+#[test]
+#[should_panic(expected = "a is too short")]
+fn gemm_strided_rejects_a_short_a() {
+    let a = [1.0f32; 20];
+    let mut c = [0.0f32; 5 * 4];
+    // (5 − 1)·4 + 6 = 22 > 20.
+    kernels::gemm_strided(&a, 4, &[1.0; 24], &mut c, 5, 6, 4);
+}
+
+#[test]
+#[should_panic(expected = "b is not [k, n]")]
+fn gemm_strided_rejects_a_short_b() {
+    let a = [1.0f32; 22];
+    let mut c = [0.0f32; 5 * 4];
+    kernels::gemm_strided(&a, 4, &[1.0; 23], &mut c, 5, 6, 4);
+}
+
+#[test]
+#[should_panic(expected = "gemm_rows: a is too short")]
+fn simd_gemm_rows_rejects_a_short_a() {
+    let mut c = [0.0f32; 16];
+    om_tensor::simd::gemm_rows(&[1.0; 15], 4, &[1.0; 16], &mut c, 4, 4, 4);
+}
+
+#[test]
+#[should_panic(expected = "gemm_rows: b is shorter")]
+fn simd_gemm_rows_rejects_a_short_b() {
+    let mut c = [0.0f32; 16];
+    om_tensor::simd::gemm_rows(&[1.0; 16], 4, &[1.0; 15], &mut c, 4, 4, 4);
+}
+
+#[test]
+#[should_panic(expected = "gemm_rows: c_block is shorter")]
+fn simd_gemm_rows_rejects_a_short_c() {
+    let mut c = [0.0f32; 15];
+    om_tensor::simd::gemm_rows(&[1.0; 16], 4, &[1.0; 16], &mut c, 4, 4, 4);
+}
+
+#[test]
+#[should_panic(expected = "add_chunk: length mismatch")]
+fn simd_add_chunk_rejects_short_inputs() {
+    let x = [1.0f32; 16];
+    let mut out = [0.0f32; 16];
+    om_tensor::simd::add_chunk(&x[..8], &x[..8], &mut out);
+}
+
+#[test]
+#[should_panic(expected = "sub_chunk: length mismatch")]
+fn simd_sub_chunk_rejects_short_inputs() {
+    let x = [1.0f32; 16];
+    let mut out = [0.0f32; 16];
+    om_tensor::simd::sub_chunk(&x, &x[..8], &mut out);
+}
+
+#[test]
+#[should_panic(expected = "mul_chunk: length mismatch")]
+fn simd_mul_chunk_rejects_short_inputs() {
+    let x = [1.0f32; 16];
+    let mut out = [0.0f32; 16];
+    om_tensor::simd::mul_chunk(&x[..8], &x, &mut out);
+}
+
+#[test]
+#[should_panic(expected = "scale_chunk: length mismatch")]
+fn simd_scale_chunk_rejects_a_short_input() {
+    let x = [1.0f32; 8];
+    let mut out = [0.0f32; 16];
+    om_tensor::simd::scale_chunk(&x, 2.0, &mut out);
+}
+
+#[test]
+#[should_panic(expected = "dequant_row: length mismatch")]
+fn simd_dequant_row_rejects_a_short_row() {
+    let q = [1i8; 8];
+    let mut out = [0.0f32; 16];
+    om_tensor::simd::dequant_row(&q, 0.5, &mut out);
+}
+
+#[test]
+#[should_panic(expected = "log_softmax_row: length mismatch")]
+fn simd_log_softmax_row_rejects_a_short_out() {
+    let src = [1.0f32; 16];
+    let mut out = [0.0f32; 8];
+    om_tensor::simd::log_softmax_row(&src, &mut out);
+}
+
+#[test]
+#[should_panic(expected = "relu_max_pool: outputs are not [filters]")]
+fn simd_relu_max_pool_rejects_short_outputs() {
+    let (mut best, mut win) = ([0.0f32; 7], [0u32; 8]);
+    om_tensor::simd::relu_max_pool(&[1.0; 24], &[0.0; 8], &mut best, &mut win);
 }
 
 #[test]
@@ -355,10 +608,10 @@ fn whole_graph_loss_is_thread_count_invariant_bitwise() {
 fn conv_pool_kernels_match_serial_twins_bitwise() {
     // The fused TextCNN branch: forward, input gradient and parameter
     // gradients against their serial twins, at every thread setting.
-    // Shapes cover one window (t = 1), one document, blocks past the
-    // 4-document GEMM block, and the paper's width-5 branch; a zero
-    // (padding) document, a constant one (every window tied) and
-    // `-0.0` upstream gradients ride in every case.
+    // Shapes cover one window (t = 1), one document, filter counts on both
+    // sides of the pool scan's 8-lane vectors, and the paper's width-5
+    // branch; a zero (padding) document, a constant one (every window
+    // tied) and `-0.0` upstream gradients ride in every case.
     for &(docs, len, dim, width, filters) in &[
         (1usize, 3usize, 2usize, 3usize, 1usize),
         (1, 9, 3, 2, 5),
@@ -532,6 +785,7 @@ const ULP_TOLERANCES: &[(&str, u32)] = &[
     ("conv_relu_max_pool", 0),
     ("dequant_rows", 0),
     ("gemm", 0),
+    ("gemm_strided", 0),
     ("log_softmax_rows", 1024), // measured worst 256 (wide-range rows)
     ("mul_slices", 0),
     ("pair_rows", 0),
