@@ -8,9 +8,9 @@
 //! order from the value already in `c`. These cases hold that to the
 //! reference over random batch sizes, catalogue sizes, shard widths and
 //! thread counts, on f32 and int8 arenas. Arena rows are ReLU-like: many
-//! exact zeros, plus whole zero rows, so the GEMM's zero-skip paths run
-//! on both sides. A second test pins the typed error for arenas whose
-//! row widths do not match the model.
+//! exact zeros, plus whole zero rows, so both sides add exact-zero
+//! products. A second test pins the typed error for arenas whose row
+//! widths do not match the model.
 
 use std::cell::OnceCell;
 use std::sync::{Mutex, MutexGuard, OnceLock};

@@ -30,14 +30,15 @@
 //! within a registered ULP tolerance (see `tests/parity.rs`).
 //!
 //! GEMM is bitwise equal to [`gemm_serial`] only while `c` holds no `-0.0`
-//! on entry: the four-row kernel adds a zero lane's `0·b` where the oracle
-//! skips it, and `-0.0 + +0.0 = +0.0`. A sum that starts at `+0.0` never
-//! becomes `-0.0`, so no caller's `c` does; debug builds assert it.
+//! on entry: the blocked kernels add every product, `0·b` included, where
+//! the oracle skips a zero `a`, and `-0.0 + +0.0 = +0.0`. A sum that starts
+//! at `+0.0` never becomes `-0.0`, so no caller's `c` does; debug builds
+//! assert it.
 //!
 //! The fused TextCNN forward ([`conv_relu_max_pool`]) builds no window
-//! matrix: the GEMM kernel takes a row stride (see [`gemm_strided`]), so
-//! each document's windows are read in place at `lda = dim`. Only the
-//! serial twin still copies them.
+//! matrix: the blocked GEMM kernel takes a row stride, so each document's
+//! windows are read in place at `lda = dim`. Only the serial twin still
+//! copies them.
 
 use std::sync::OnceLock;
 
@@ -87,9 +88,10 @@ const GEMM_ROW_GRAIN: usize = 8;
 ///
 /// The ikj loop order keeps the inner loop contiguous over `b` and `c`.
 /// A `p` where `a`'s entry is exactly zero is skipped. The blocked kernels
-/// keep that skip (per four-row group) for parity with this oracle, not
-/// for speed: the padding token's embedding row takes gradient and is not
-/// zero after training, so the TextCNN GEMMs meet no all-zero steps.
+/// add every product instead; for finite inputs that changes no bit of a
+/// sum that does not hold `-0.0` (see [`gemm`]). The skip saves the
+/// TextCNN nothing: the padding token's embedding row takes gradient and
+/// is not zero after training.
 pub fn gemm_serial(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
@@ -115,11 +117,10 @@ pub fn gemm_serial(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: u
 /// Four rows at a time, so each streamed row of `b` is reused fourfold.
 ///
 /// Per output element the accumulation order is `p = 0..k`, identical to
-/// [`gemm_serial`]. A four-row group skips `p` only when all four lanes
-/// are zero, so a row whose own lane is zero adds `0·b`, where the oracle
-/// adds nothing. That is a bitwise no-op unless the element holds `-0.0`
-/// (`-0.0 + +0.0 = +0.0`), which a sum that starts at `+0.0` never does:
-/// hence [`gemm`]'s precondition.
+/// [`gemm_serial`]. Every product is added, so a zero `a` adds `0·b`
+/// where the oracle adds nothing. That is a bitwise no-op unless the
+/// element holds `-0.0` (`-0.0 + +0.0 = +0.0`), which a sum that starts at
+/// `+0.0` never does: hence [`gemm`]'s precondition.
 fn gemm_rows(a: &[f32], lda: usize, b: &[f32], c_block: &mut [f32], rows: usize, k: usize, n: usize) {
     if crate::simd::gemm_rows(a, lda, b, c_block, rows, k, n) {
         return;
@@ -133,9 +134,6 @@ fn gemm_rows(a: &[f32], lda: usize, b: &[f32], c_block: &mut [f32], rows: usize,
         let (c2, c3) = c23.split_at_mut(n);
         for p in 0..k {
             let [a0, a1, a2, a3] = a_rows.map(|row| row[p]);
-            if a0 == 0.0 && a1 == 0.0 && a2 == 0.0 && a3 == 0.0 {
-                continue;
-            }
             let b_row = &b[p * n..(p + 1) * n];
             for j in 0..n {
                 let bv = b_row[j];
@@ -152,9 +150,6 @@ fn gemm_rows(a: &[f32], lda: usize, b: &[f32], c_block: &mut [f32], rows: usize,
         let a_row = &a[i * lda..i * lda + k];
         let c_row = &mut c_block[i * n..(i + 1) * n];
         for (p, &a_ip) in a_row.iter().enumerate() {
-            if a_ip == 0.0 {
-                continue;
-            }
             let b_row = &b[p * n..(p + 1) * n];
             for (c_v, &b_v) in c_row.iter_mut().zip(b_row) {
                 *c_v += a_ip * b_v;
@@ -164,42 +159,29 @@ fn gemm_rows(a: &[f32], lda: usize, b: &[f32], c_block: &mut [f32], rows: usize,
     }
 }
 
-/// Row-major GEMM `c[m,n] += a[m,k] · b[k,n]`, parallel over row blocks:
-/// [`gemm_strided`] at `lda = k`.
+/// Row-major GEMM `c[m,n] += a[m,k] · b[k,n]`, parallel over row blocks.
 ///
 /// Bitwise identical to [`gemm_serial`] for finite inputs at any thread
-/// count (see module docs), provided `c` holds no `-0.0` on entry (see
-/// [`gemm_strided`]). The product accumulates *into* `c`: each element
-/// continues from its incoming value in `p = 0..k` order, so a sum split
-/// at any `p` — run the first `p` columns of `a` against the first `p`
-/// rows of `b`, then the rest into the same `c` — is bitwise the one-call
-/// sum (the serving head resumes from a user partial this way).
+/// count (see module docs), provided `c` holds no `-0.0` on entry. The
+/// blocked kernels add a zero `a`'s `0·b` where the oracle skips it, which
+/// turns a `-0.0` element into `+0.0`. Every caller in the workspace seeds
+/// `c` with `+0.0` or with a sum that started there, which can never be
+/// `-0.0`. Debug builds assert the precondition.
+///
+/// The product accumulates *into* `c`: each element continues from its
+/// incoming value in `p = 0..k` order, so a sum split at any `p` — run the
+/// first `p` columns of `a` against the first `p` rows of `b`, then the
+/// rest into the same `c` — is bitwise the one-call sum (the serving head
+/// resumes from a user partial this way).
 // om-lint: simd — inner-product kernel; a vectorised port must register
 // its ULP tolerance in tests/parity.rs (ulp_tolerance("gemm")).
 pub fn gemm(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    assert_eq!(a.len(), m * k, "gemm: a is not [m, k]");
-    gemm_strided(a, k, b, c, m, k, n);
-}
-
-/// [`gemm`] with a row stride: `c[m,n] += A · b[k,n]`, where row `i` of
-/// `A` is `a[i·lda..i·lda + k]`. Rows may overlap (`lda < k`), so the
-/// windows of a token sequence multiply in place.
-///
-/// Bitwise identical to [`gemm_serial`] on the gathered rows for finite
-/// inputs at any thread count, provided `c` holds no `-0.0` on entry.
-/// The four-row kernel adds a zero lane's `0·b` where the oracle skips
-/// it, which turns a `-0.0` element into `+0.0`. Every caller in the
-/// workspace seeds `c` with `+0.0` or with a sum that started there,
-/// which can never be `-0.0`. Debug builds assert the precondition.
-// om-lint: simd — inner-product kernel; a vectorised port must register
-// its ULP tolerance in tests/parity.rs (ulp_tolerance("gemm_strided")).
-pub fn gemm_strided(a: &[f32], lda: usize, b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    assert!(crate::simd::rows_fit(a.len(), lda, m, k), "gemm: a is too short for {m} rows of stride {lda}");
+    assert!(m.checked_mul(k) == Some(a.len()), "gemm: a is not [m, k]");
     assert!(k.checked_mul(n) == Some(b.len()), "gemm: b is not [k, n]");
     assert!(m.checked_mul(n) == Some(c.len()), "gemm: c is not [m, n]");
     debug_assert!(
         c.iter().all(|v| v.to_bits() != (-0.0f32).to_bits()),
-        "gemm: c holds -0.0, which the four-row kernel may turn into +0.0"
+        "gemm: c holds -0.0, which the blocked kernels may turn into +0.0"
     );
     if n == 0 || m == 0 {
         return;
@@ -209,7 +191,7 @@ pub fn gemm_strided(a: &[f32], lda: usize, b: &[f32], c: &mut [f32], m: usize, k
         gemm_obs(m, k, n);
     }
     if m * n * k < GEMM_PAR_FLOPS {
-        gemm_rows(a, lda, b, c, m, k, n);
+        gemm_rows(a, k, b, c, m, k, n);
         return;
     }
     // Only above-threshold GEMMs get a span: one record per dispatch-sized
@@ -219,14 +201,8 @@ pub fn gemm_strided(a: &[f32], lda: usize, b: &[f32], c: &mut [f32], m: usize, k
     // enough that even single rows amortise the dispatch.
     let grain = if n * k >= 64 * 1024 { 1 } else { GEMM_ROW_GRAIN };
     runtime::parallel_rows_mut(c, n, grain, |row0, block| {
-        gemm_rows(&a[row0 * lda..], lda, b, block, block.len() / n, k, n);
+        gemm_rows(&a[row0 * k..], k, b, block, block.len() / n, k, n);
     });
-}
-
-/// Serial twin of [`gemm_strided`]: gathers the rows, then [`gemm_serial`].
-pub fn gemm_strided_serial(a: &[f32], lda: usize, b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    let rows: Vec<f32> = (0..m).flat_map(|i| &a[i * lda..i * lda + k]).copied().collect();
-    gemm_serial(&rows, b, c, m, k, n);
 }
 
 /// Transpose a row-major `[m,n]` matrix into `[n,m]`.
@@ -916,7 +892,7 @@ mod tests {
     fn gemm_skips_zero_rows_like_serial() {
         let (m, k, n) = (64, 48, 32);
         let mut a = random_vec(m * k, 7);
-        // Zero whole stretches to exercise the skip path.
+        // Zero whole stretches: the oracle skips them, gemm adds `0·b`.
         for v in a.iter_mut().take(m * k / 2) {
             *v = 0.0;
         }

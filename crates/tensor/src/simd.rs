@@ -14,12 +14,12 @@
 //! The GEMM micro-kernel ([`gemm_rows`]) is one tile body, generic over
 //! rows (4, or 1 for the ragged rows) and width (1–3 vectors of 8
 //! columns, the last one masked for a column tail): 4×24 tiles hold 12
-//! accumulators across the whole `p` loop. The scalar kernel skips a `p`
-//! where all four rows' `a` is zero; here one vector scan per row group
-//! decides whether such a `p` exists, and only groups that have one run
-//! the per-`p` test. The `p` loop itself runs on raw pointers, covered by
-//! the wrapper's asserts. It takes a row stride, so a TextCNN document's
-//! overlapping windows multiply in place.
+//! accumulators across the whole `p` loop. It adds every product, zero
+//! or not, as the scalar blocked kernel does: `gemm_serial`'s skip of a
+//! zero `a` changes no bit of a sum that does not hold `-0.0` (see
+//! [`crate::kernels::gemm`]). The `p` loop runs on raw pointers, covered
+//! by the wrapper's asserts. It takes a row stride, so a TextCNN
+//! document's overlapping windows multiply in place.
 //!
 //! Two numeric tiers, enforced by `tests/parity.rs`:
 //!
@@ -128,7 +128,7 @@ pub fn sum_chunk(x: &[f32]) -> Option<f32> {
 /// Whether rows `0..rows` of a matrix with row stride `lda` and `k`
 /// columns lie inside `a`: `(rows − 1)·lda + k ≤ a.len()`, without
 /// overflow. Rows may overlap (`lda < k`).
-pub(crate) fn rows_fit(a_len: usize, lda: usize, rows: usize, k: usize) -> bool {
+fn rows_fit(a_len: usize, lda: usize, rows: usize, k: usize) -> bool {
     rows == 0 || (rows - 1).checked_mul(lda).and_then(|v| v.checked_add(k)).is_some_and(|end| end <= a_len)
 }
 
@@ -137,8 +137,7 @@ pub(crate) fn rows_fit(a_len: usize, lda: usize, rows: usize, k: usize) -> bool 
 /// windows are its rows at `lda = dim`). Same contract as the scalar
 /// `gemm_rows`: per output element the accumulation order is `p = 0..k`
 /// with separate multiply and add (no FMA), starting from the incoming
-/// `c` value, and a four-row group skips `p` only when all four lanes are
-/// exactly zero. Bitwise tier.
+/// `c` value, and every product is added. Bitwise tier.
 #[inline]
 pub fn gemm_rows(a: &[f32], lda: usize, b: &[f32], c_block: &mut [f32], rows: usize, k: usize, n: usize) -> bool {
     assert!(rows_fit(a.len(), lda, rows, k), "gemm_rows: a is too short for {rows} rows of stride {lda} and width {k}");
@@ -642,41 +641,11 @@ mod x86 {
         )
     }
 
-    /// Whether some `p < k` has all `R` rows' `a` exactly zero: the only
-    /// steps the scalar kernel's skip test removes. One vector scan per
-    /// row group, so a group without such a `p` runs the tile body with
-    /// no per-`p` test at all.
-    #[target_feature(enable = "avx2")]
-    // SAFETY: AVX2 only (module contract); the caller guarantees each
-    // `a[r]` points at `k` readable floats, and every load below stays in
-    // `p < k` by the loop conditions.
-    unsafe fn has_zero_step<const R: usize>(a: [*const f32; R], k: usize) -> bool {
-        let zero = _mm256_setzero_ps();
-        let mut p = 0usize;
-        while p + 8 <= k {
-            let mut all = _mm256_cmp_ps::<_CMP_EQ_OQ>(zero, zero);
-            for row in a {
-                // SAFETY: p+8 <= k keeps the load inside the row.
-                let v = unsafe { _mm256_loadu_ps(row.add(p)) };
-                all = _mm256_and_ps(all, _mm256_cmp_ps::<_CMP_EQ_OQ>(v, zero));
-            }
-            if _mm256_movemask_ps(all) != 0 {
-                return true;
-            }
-            p += 8;
-        }
-        // SAFETY: p < k for every read.
-        (p..k).any(|p| a.iter().all(|&row| unsafe { *row.add(p) } == 0.0))
-    }
-
     /// One `R`-row × `8·V`-column register tile: `R·V` accumulators held
     /// across the whole `p` loop, each `b` vector reused over the `R`
     /// rows and each row's broadcast over the `V` vectors. Per element
     /// the order is `p = 0..k`, multiply then add, from the incoming `c`.
-    /// With `SKIP`, a `p` where all `R` `a` values are exactly zero is
-    /// skipped, the scalar kernel's test; the caller picks `SKIP` from
-    /// [`has_zero_step`]. With `MASKED`, the last vector covers only the
-    /// lanes `mask` enables.
+    /// With `MASKED`, the last vector covers only the lanes `mask` enables.
     #[target_feature(enable = "avx2")]
     #[inline]
     // SAFETY: AVX2 only (module contract). The caller guarantees: each
@@ -684,7 +653,7 @@ mod x86 {
     // `b + p·n` starts `8·V` readable floats (the last vector's disabled
     // lanes excepted); each `c[r]` starts `8·V` writable floats (same
     // exception). No other memory is touched.
-    unsafe fn tile<const R: usize, const V: usize, const SKIP: bool, const MASKED: bool>(
+    unsafe fn tile<const R: usize, const V: usize, const MASKED: bool>(
         a: [*const f32; R],
         b: *const f32,
         c: [*mut f32; R],
@@ -705,19 +674,15 @@ mod x86 {
                 }
             }
             for p in 0..k {
-                let av: [f32; R] = std::array::from_fn(|r| *a[r].add(p));
-                if SKIP && av.iter().all(|&x| x == 0.0) {
-                    continue;
-                }
                 let mut bv = [_mm256_setzero_ps(); V];
                 for (v, slot) in bv.iter_mut().enumerate() {
                     let at = b.add(p * n + 8 * v);
                     *slot = if masked(v) { _mm256_maskload_ps(at, mask) } else { _mm256_loadu_ps(at) };
                 }
-                for r in 0..R {
-                    let va = _mm256_set1_ps(av[r]);
-                    for v in 0..V {
-                        acc[r][v] = _mm256_add_ps(acc[r][v], _mm256_mul_ps(va, bv[v]));
+                for (row, a_row) in acc.iter_mut().zip(a) {
+                    let va = _mm256_set1_ps(*a_row.add(p));
+                    for (slot, &vb) in row.iter_mut().zip(&bv) {
+                        *slot = _mm256_add_ps(*slot, _mm256_mul_ps(va, vb));
                     }
                 }
             }
@@ -741,51 +706,36 @@ mod x86 {
     // SAFETY: AVX2 only (module contract). The caller guarantees each
     // `a[r]` points at `k` readable floats, `b` at `k·n` and each `c[r]`
     // at `n` writable ones; every tile below stays in columns `< n`.
-    unsafe fn gemm_group<const R: usize, const SKIP: bool>(a: [*const f32; R], b: *const f32, c: [*mut f32; R], k: usize, n: usize) {
-        let at = |j: usize| c.map(|row| row.wrapping_add(j));
+    // With `k = 0`, `b` may point at an empty slice: its column offsets
+    // are formed with `wrapping_add` and never dereferenced.
+    unsafe fn gemm_group<const R: usize>(a: [*const f32; R], b: *const f32, c: [*mut f32; R], k: usize, n: usize) {
+        let at = |j: usize| (b.wrapping_add(j), c.map(|row| row.wrapping_add(j)));
         let full = _mm256_setzero_si256();
         let mut j = 0usize;
         // SAFETY: each tile covers columns j..j+24 <= n, or in the tail
         // j..n with the lanes past n masked off.
         unsafe {
             while j + 24 <= n {
-                tile::<R, 3, SKIP, false>(a, b.add(j), at(j), k, n, full);
+                let (bj, cj) = at(j);
+                tile::<R, 3, false>(a, bj, cj, k, n, full);
                 j += 24;
             }
-            let (rem, bj) = (n - j, b.wrapping_add(j));
+            let (rem, (bj, cj)) = (n - j, at(j));
             let mask = tail_mask(rem % 8);
             match (rem.div_ceil(8), rem % 8 == 0) {
                 (0, _) => {}
-                (1, true) => tile::<R, 1, SKIP, false>(a, bj, at(j), k, n, full),
-                (1, false) => tile::<R, 1, SKIP, true>(a, bj, at(j), k, n, mask),
-                (2, true) => tile::<R, 2, SKIP, false>(a, bj, at(j), k, n, full),
-                (2, false) => tile::<R, 2, SKIP, true>(a, bj, at(j), k, n, mask),
-                _ => tile::<R, 3, SKIP, true>(a, bj, at(j), k, n, mask),
-            }
-        }
-    }
-
-    /// One row group: decide the zero-step skip once, then run the group's
-    /// columns with or without the per-`p` test.
-    #[target_feature(enable = "avx2")]
-    // SAFETY: AVX2 only (module contract); same pointer contract as
-    // [`gemm_group`].
-    unsafe fn gemm_rows_of<const R: usize>(a: [*const f32; R], b: *const f32, c: [*mut f32; R], k: usize, n: usize) {
-        // SAFETY: forwarded from the caller.
-        unsafe {
-            if has_zero_step(a, k) {
-                gemm_group::<R, true>(a, b, c, k, n);
-            } else {
-                gemm_group::<R, false>(a, b, c, k, n);
+                (1, true) => tile::<R, 1, false>(a, bj, cj, k, n, full),
+                (1, false) => tile::<R, 1, true>(a, bj, cj, k, n, mask),
+                (2, true) => tile::<R, 2, false>(a, bj, cj, k, n, full),
+                (2, false) => tile::<R, 2, true>(a, bj, cj, k, n, mask),
+                _ => tile::<R, 3, true>(a, bj, cj, k, n, mask),
             }
         }
     }
 
     /// `c[rows, n] += A · b`, row `i` of `A` at `a[i·lda..i·lda + k]`: four
     /// rows at a time, so each streamed `b` vector is reused fourfold, then
-    /// the ragged rows one at a time. A four-row group skips `p` only when
-    /// all four `a` lanes are zero, a single row when its own is, which is
-    /// the scalar kernel's rule bit for bit.
+    /// the ragged rows one at a time.
     #[target_feature(enable = "avx2")]
     // SAFETY: AVX2 only (module contract). The safe wrapper asserts
     // `(rows − 1)·lda + k ≤ a.len()`, `b.len() ≥ k·n` and
@@ -800,11 +750,11 @@ mod x86 {
             while i + 4 <= rows {
                 let ra: [*const f32; 4] = std::array::from_fn(|r| pa.wrapping_add((i + r) * lda));
                 let rc: [*mut f32; 4] = std::array::from_fn(|r| pc.wrapping_add((i + r) * n));
-                gemm_rows_of::<4>(ra, pb, rc, k, n);
+                gemm_group::<4>(ra, pb, rc, k, n);
                 i += 4;
             }
             while i < rows {
-                gemm_rows_of::<1>([pa.wrapping_add(i * lda)], pb, [pc.wrapping_add(i * n)], k, n);
+                gemm_group::<1>([pa.wrapping_add(i * lda)], pb, [pc.wrapping_add(i * n)], k, n);
                 i += 1;
             }
         }

@@ -19,8 +19,8 @@
 //! Shapes deliberately include 1×1, 1×N, tall-skinny, wide-short, and
 //! odd/prime sizes to hit every ragged-tail branch of the blocked GEMM,
 //! the 24-column tile and its 1–3-vector (masked) remainders in the AVX2
-//! micro-kernel, both sides of its hoisted zero-step scan, and the
-//! chunked reductions. The `should_panic` cases hold every safe SIMD
+//! micro-kernel, rows read at a stride, zero steps the oracle skips, and
+//! the chunked reductions. The `should_panic` cases hold every safe SIMD
 //! entry point to its slice bounds.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -92,8 +92,8 @@ fn gemm_parallel_matches_serial_reference_bitwise() {
 
 #[test]
 fn gemm_with_zero_rows_matches_serial_bitwise() {
-    // Zeros exercise the micro-kernel's zero-product skip; skipping an
-    // exact-zero contribution must not change any bit of the result.
+    // The oracle skips a zero `a`; the blocked kernels add its `0·b`,
+    // which must not change any bit of a sum that starts at `+0.0`.
     for &(m, k, n) in SHAPES {
         let mut a: Vec<f32> = (0..m * k).map(|i| (i % 7) as f32 - 3.0).collect();
         for v in a.iter_mut().step_by(3) {
@@ -106,6 +106,41 @@ fn gemm_with_zero_rows_matches_serial_bitwise() {
         kernels::gemm(&a, &b, &mut c, m, k, n);
         assert_eq!(bits(&serial), bits(&c), "sparse gemm {m}x{k}x{n}");
     }
+    // One call, five four-row groups and two ragged rows: group 0 has no
+    // zero at all; group 1 is all zero at p = 5 and group 2 at p = 73,
+    // steps the oracle skips in all four rows; group 3 has exactly one
+    // all-zero row and no all-zero p; group 4 is zero at p = 40 in three
+    // rows only. Ragged row 20 is all zero, row 21 zero at every even p.
+    let (m, k, n) = (22usize, 75usize, 49usize);
+    let mut a: Vec<f32> = (0..m * k).map(|i| ((i * 43) % 97) as f32 * 0.19 - 9.0).collect();
+    for v in a.iter_mut().filter(|v| **v == 0.0) {
+        *v = 0.5;
+    }
+    for r in 4..8 {
+        a[r * k + 5] = 0.0;
+    }
+    for r in 8..12 {
+        a[r * k + 73] = 0.0;
+    }
+    a[13 * k..14 * k].fill(0.0);
+    for r in 16..19 {
+        a[r * k + 40] = 0.0;
+    }
+    a[20 * k..21 * k].fill(0.0);
+    for p in (0..k).step_by(2) {
+        a[21 * k + p] = 0.0;
+    }
+    let b: Vec<f32> = (0..k * n).map(|i| ((i * 29) % 83) as f32 * 0.23 - 9.5).collect();
+    let mut serial = vec![0.0f32; m * n];
+    kernels::gemm_serial(&a, &b, &mut serial, m, k, n);
+    assert_parity("gemm mixed zero groups", || {
+        let mut c = vec![0.0f32; m * n];
+        kernels::gemm(&a, &b, &mut c, m, k, n);
+        c
+    });
+    let mut c = vec![0.0f32; m * n];
+    kernels::gemm(&a, &b, &mut c, m, k, n);
+    assert_eq!(bits(&serial), bits(&c), "gemm mixed zero groups vs serial reference");
 }
 
 /// Column counts whose `n % 8` covers 1..=7 (plus 0), below one 8-lane
@@ -119,16 +154,17 @@ const TAIL_NS: &[usize] = &[1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 21, 22, 36, 39];
 /// the model's 72- and 96-wide layers.
 const TILE_NS: &[usize] = &[23, 24, 25, 47, 48, 49, 72, 96];
 
-/// Depths for the hoisted zero-step scan: below one 8-lane vector (scalar
-/// tail only), exactly one, one plus a tail, and the conv window widths.
-const TILE_KS: &[usize] = &[1, 7, 8, 9, 72, 120];
+/// Depths: none (`b` is empty, so no column tile may form an offset into
+/// it), below one 8-lane vector, exactly one, one plus a tail, and the
+/// conv window widths.
+const TILE_KS: &[usize] = &[0, 1, 7, 8, 9, 72, 120];
 
 #[test]
 fn gemm_column_tails_match_serial_reference_bitwise() {
     for &n in TAIL_NS {
         // m = 7 runs one four-row tile then three single rows; k = 96 is
-        // the default rating head's width. Every third `a` entry is zero
-        // so the zero-skip runs inside the masked tile too.
+        // the default rating head's width. Every third `a` entry is zero,
+        // a step the oracle skips, inside the masked tile too.
         for &(m, k) in &[(7usize, 96usize), (130, 11)] {
             let mut a: Vec<f32> = (0..m * k).map(|i| ((i * 37) % 101) as f32 * 0.173 - 8.0).collect();
             for v in a.iter_mut().step_by(3) {
@@ -147,9 +183,8 @@ fn gemm_column_tails_match_serial_reference_bitwise() {
             assert_eq!(bits(&serial), bits(&c), "gemm tail {m}x{k}x{n} vs serial reference");
         }
     }
-    // The 24-wide tile and its remainders at every scan depth; m = 7 is
-    // one four-row group and three single rows. Every fifth `a` entry is
-    // zero, so some groups take the per-`p` test and some do not.
+    // The 24-wide tile and its remainders at every depth; m = 7 is one
+    // four-row group and three single rows. Every fifth `a` entry is zero.
     for &n in TILE_NS {
         for &k in TILE_KS {
             let m = 7;
@@ -173,52 +208,14 @@ fn gemm_column_tails_match_serial_reference_bitwise() {
 }
 
 #[test]
-fn gemm_row_groups_on_both_sides_of_the_skip_decision_match_serial_bitwise() {
-    // One call, five four-row groups and two ragged rows, k = 75 (nine
-    // vectors of the zero-step scan plus a 3-wide scalar tail):
-    // group 0 has no zero at all; group 1 is all zero at p = 5 (inside a
-    // scan vector); group 2 at p = 73 (in the scan's scalar tail); group
-    // 3 has exactly one all-zero row and no all-zero p; group 4 is zero
-    // at p = 40 in three rows only. Ragged row 20 is all zero, row 21
-    // zero at every even p.
-    let (m, k, n) = (22usize, 75usize, 49usize);
-    let mut a: Vec<f32> = (0..m * k).map(|i| ((i * 43) % 97) as f32 * 0.19 - 9.0).collect();
-    for v in a.iter_mut().filter(|v| **v == 0.0) {
-        *v = 0.5;
-    }
-    for r in 4..8 {
-        a[r * k + 5] = 0.0;
-    }
-    for r in 8..12 {
-        a[r * k + 73] = 0.0;
-    }
-    a[13 * k..14 * k].fill(0.0);
-    for r in 16..19 {
-        a[r * k + 40] = 0.0;
-    }
-    a[20 * k..21 * k].fill(0.0);
-    for p in (0..k).step_by(2) {
-        a[21 * k + p] = 0.0;
-    }
-    let b: Vec<f32> = (0..k * n).map(|i| ((i * 29) % 83) as f32 * 0.23 - 9.5).collect();
-    let mut serial = vec![0.0f32; m * n];
-    kernels::gemm_serial(&a, &b, &mut serial, m, k, n);
-    assert_parity("gemm mixed skip groups", || {
-        let mut c = vec![0.0f32; m * n];
-        kernels::gemm(&a, &b, &mut c, m, k, n);
-        c
-    });
-    let mut c = vec![0.0f32; m * n];
-    kernels::gemm(&a, &b, &mut c, m, k, n);
-    assert_eq!(bits(&serial), bits(&c), "gemm mixed skip groups vs serial reference");
-}
-
-#[test]
-fn gemm_strided_matches_gemm_serial_on_the_gathered_rows_bitwise() {
-    // Overlapping rows (`lda = dim < k`: a document's conv windows read in
-    // place), disjoint rows with a gap (`lda > k`) and the dense case, on
-    // both sides of the parallel threshold, with zero tokens so the skip
-    // scan fires on some groups.
+fn simd_gemm_rows_reads_strided_rows_like_gemm_serial_on_the_gathered_rows() {
+    // The vector kernel's row stride, which the fused conv forward uses:
+    // overlapping rows (`lda = dim < k`, a document's windows read in
+    // place), disjoint rows with a gap (`lda > k`) and the dense case,
+    // with zero tokens the oracle skips, and k = 0 (empty `a` and `b`,
+    // so no column tile may form an offset into `b`). Under scalar
+    // dispatch the entry declines and leaves `c` alone; `conv_pool.rs`
+    // covers the scalar kernel's strided reads end to end.
     for &(m, lda, k, n) in &[
         (46usize, 24usize, 72usize, 24usize),
         (45, 24, 96, 24),
@@ -226,6 +223,8 @@ fn gemm_strided_matches_gemm_serial_on_the_gathered_rows_bitwise() {
         (200, 8, 40, 24),
         (13, 11, 8, 5),
         (9, 6, 6, 49),
+        (1, 0, 0, 48),
+        (5, 0, 0, 49),
     ] {
         let len = (m - 1) * lda + k;
         let mut a: Vec<f32> = (0..len).map(|i| ((i * 37) % 101) as f32 * 0.173 - 8.0).collect();
@@ -236,25 +235,20 @@ fn gemm_strided_matches_gemm_serial_on_the_gathered_rows_bitwise() {
         let gathered: Vec<f32> = (0..m).flat_map(|i| a[i * lda..i * lda + k].to_vec()).collect();
         let mut want = vec![0.0f32; m * n];
         kernels::gemm_serial(&gathered, &b, &mut want, m, k, n);
-        let mut twin = vec![0.0f32; m * n];
-        kernels::gemm_strided_serial(&a, lda, &b, &mut twin, m, k, n);
-        assert_eq!(bits(&want), bits(&twin), "gemm_strided_serial {m}x{k}x{n} lda {lda}");
-        assert_parity(&format!("gemm_strided {m}x{k}x{n} lda {lda}"), || {
-            let mut c = vec![0.0f32; m * n];
-            kernels::gemm_strided(&a, lda, &b, &mut c, m, k, n);
-            c
-        });
         let mut c = vec![0.0f32; m * n];
-        kernels::gemm_strided(&a, lda, &b, &mut c, m, k, n);
-        assert_eq!(bits(&want), bits(&c), "gemm_strided {m}x{k}x{n} lda {lda} vs gathered serial");
+        if om_tensor::simd::gemm_rows(&a, lda, &b, &mut c, m, k, n) {
+            assert_eq!(bits(&want), bits(&c), "simd gemm_rows {m}x{k}x{n} lda {lda} vs gathered serial");
+        } else {
+            assert!(!om_tensor::simd::active(), "gemm_rows declined under AVX2 dispatch");
+            assert!(c.iter().all(|v| v.to_bits() == 0), "gemm_rows wrote c while declining");
+        }
     }
-    assert_eq!(ulp_tolerance("gemm_strided"), 0, "gemm_strided runs gemm's micro-kernel — always bitwise");
 }
 
 #[test]
 fn gemm_keeps_serial_bits_when_c_holds_no_negative_zero() {
     // The counterexample shape: row 0 of `a` all zero, rows 1–3 not, so
-    // the four-row kernel adds row 0's `0·b` where the oracle skips it.
+    // the blocked kernels add row 0's `0·b` where the oracle skips it.
     // From `+0.0` (every caller's seed) that is a no-op and row 0 stays
     // `+0.0`; a `-0.0` seed is outside the contract (next test).
     let (m, k, n) = (4usize, 3usize, 8usize);
@@ -271,7 +265,7 @@ fn gemm_keeps_serial_bits_when_c_holds_no_negative_zero() {
     }
 }
 
-/// `-0.0` in `c` is outside `gemm`'s contract: the four-row kernel may
+/// `-0.0` in `c` is outside `gemm`'s contract: the blocked kernels may
 /// return `+0.0` where `gemm_serial` keeps `-0.0`. Debug builds assert it.
 #[cfg(debug_assertions)]
 #[test]
@@ -299,20 +293,11 @@ fn gemm_rejects_a_short_b() {
 }
 
 #[test]
-#[should_panic(expected = "a is too short")]
-fn gemm_strided_rejects_a_short_a() {
-    let a = [1.0f32; 20];
-    let mut c = [0.0f32; 5 * 4];
-    // (5 − 1)·4 + 6 = 22 > 20.
-    kernels::gemm_strided(&a, 4, &[1.0; 24], &mut c, 5, 6, 4);
-}
-
-#[test]
-#[should_panic(expected = "b is not [k, n]")]
-fn gemm_strided_rejects_a_short_b() {
-    let a = [1.0f32; 22];
-    let mut c = [0.0f32; 5 * 4];
-    kernels::gemm_strided(&a, 4, &[1.0; 23], &mut c, 5, 6, 4);
+#[should_panic(expected = "a is not [m, k]")]
+fn gemm_rejects_a_short_a() {
+    let big = [1.0f32; 64];
+    let mut c = [0.0f32; 16];
+    kernels::gemm(&big[..15], &big[..64], &mut c, 4, 4, 16);
 }
 
 #[test]
@@ -785,7 +770,6 @@ const ULP_TOLERANCES: &[(&str, u32)] = &[
     ("conv_relu_max_pool", 0),
     ("dequant_rows", 0),
     ("gemm", 0),
-    ("gemm_strided", 0),
     ("log_softmax_rows", 1024), // measured worst 256 (wide-range rows)
     ("mul_slices", 0),
     ("pair_rows", 0),
