@@ -30,6 +30,7 @@ use om_data::{CrossDomainScenario, Domain, SplitConfig, SynthConfig, SynthWorld}
 use om_nn::{supcon_loss, HasParams, TextCnn, TransformerEncoder};
 use om_obs::json::Json;
 use om_tensor::{init, kernels, seeded_rng, Tensor};
+use rand::RngExt as _;
 use omnimatch_core::{AuxiliaryReviewGenerator, OmniMatchConfig, OmniMatchModel, Trainer};
 
 /// Per-iteration wall times in milliseconds: `warmup` discarded
@@ -170,7 +171,10 @@ fn kernel_sweeps() -> Vec<Json> {
 
 /// nn-level rows. `extractor/*`: TextCNN vs the transformer of the
 /// `OmniMatch-BERT` ablation (Table 5), forward by batch size and
-/// forward+backward at batch 32. `loss/*`: supervised contrastive loss by
+/// forward+backward at batch 32. The TextCNN rows time the whole tower the
+/// model runs, from token ids through a trainable default-size table to
+/// pooled features; the transformer rows take embedded documents, as its
+/// backbone does. `loss/*`: supervised contrastive loss by
 /// batch size (its similarity matrix is quadratic in the batch), a
 /// square-mean backward with and without the gradient-reversal layer in
 /// front, and softmax cross-entropy as the reference point.
@@ -181,19 +185,35 @@ fn nn_rows() -> Vec<Json> {
     let mut rng = seeded_rng(1);
     let cnn = TextCnn::new(EMB, &[3, 4, 5], 24, &mut rng);
     let tf = TransformerEncoder::new(EMB, 2, 48, 1, LEN, &mut rng);
+    // The tower's table and ids come from their own generator, so the
+    // transformer rows keep their inputs.
+    let ids_rng = &mut seeded_rng(2);
+    let vocab = OmniMatchConfig::default().vocab_size;
+    let table = init::normal(&[vocab, EMB], 0.1, ids_rng).requires_grad();
+    let mut docs = |batch: usize| -> Vec<Vec<usize>> {
+        (0..batch).map(|_| (0..LEN).map(|_| ids_rng.random_range(0..vocab)).collect()).collect()
+    };
+    fn views(docs: &[Vec<usize>]) -> Vec<&[usize]> {
+        docs.iter().map(Vec::as_slice).collect()
+    }
     for batch in [16usize, 64] {
         let x = init::normal(&[batch, LEN, EMB], 1.0, &mut rng);
+        let ids = docs(batch);
+        let ids = views(&ids);
         rows.push(row(&format!("extractor/forward/textcnn/{batch}"), 2, 20, || {
-            black_box(cnn.forward(&x));
+            black_box(cnn.forward(&table, &ids));
         }));
         rows.push(row(&format!("extractor/forward/transformer/{batch}"), 2, 20, || {
             black_box(tf.forward(&x));
         }));
     }
     let x = init::normal(&[32, LEN, EMB], 1.0, &mut rng);
+    let ids = docs(32);
+    let ids = views(&ids);
     rows.push(row("extractor/forward_backward/textcnn", 2, 20, || {
         cnn.zero_grad();
-        cnn.forward(&x).square().mean_all().backward();
+        table.zero_grad();
+        cnn.forward(&table, &ids).square().mean_all().backward();
     }));
     rows.push(row("extractor/forward_backward/transformer", 2, 20, || {
         tf.zero_grad();

@@ -71,13 +71,6 @@ impl Backbone {
         }
     }
 
-    fn forward(&self, embedded: &Tensor) -> Tensor {
-        match self {
-            Backbone::Cnn(c) => c.forward(embedded),
-            Backbone::Transformer(t) => t.forward(embedded),
-        }
-    }
-
     fn params(&self) -> Vec<Tensor> {
         match self {
             Backbone::Cnn(c) => c.params(),
@@ -170,7 +163,9 @@ impl OmniMatchModel {
         &self.cfg
     }
 
-    /// Embed a batch of equal-length documents → `[batch, len, emb]`.
+    /// Embed a batch of equal-length documents → `[batch, len, emb]`: the
+    /// transformer backbone's input. The TextCNN towers read token ids
+    /// straight from the table instead (see [`OmniMatchModel::user_features`]).
     pub fn embed_docs(&self, docs: &[&[usize]]) -> Tensor {
         assert!(!docs.is_empty(), "embed_docs: empty batch");
         let len = docs[0].len();
@@ -186,6 +181,16 @@ impl OmniMatchModel {
             .reshape(&[docs.len(), len, self.cfg.emb_dim])
     }
 
+    /// Pooled backbone features of `docs` (Eqs. 4–7). A TextCNN backbone
+    /// is one tape op from the token ids through the shared table to the
+    /// pooled features; the transformer embeds the documents first.
+    fn encode(&self, backbone: &Backbone, docs: &[&[usize]]) -> Tensor {
+        match backbone {
+            Backbone::Cnn(c) => c.forward(&self.embedding.table, docs),
+            Backbone::Transformer(t) => t.forward(&self.embed_docs(docs)),
+        }
+    }
+
     /// Extract user features from documents of one domain (Eqs. 4–10).
     pub fn user_features(
         &self,
@@ -194,12 +199,11 @@ impl OmniMatchModel {
         training: bool,
         rng: &mut Rng,
     ) -> UserFeatures {
-        let embedded = self.embed_docs(docs);
         let (backbone, specific_head) = match side {
             DomainSide::Source => (&self.src_backbone, &self.src_specific),
             DomainSide::Target => (&self.tgt_backbone, &self.tgt_specific),
         };
-        let pooled = backbone.forward(&embedded);
+        let pooled = self.encode(backbone, docs);
         let invariant = self.dropout.forward(
             &self.shared_invariant.forward(&pooled).relu(),
             training,
@@ -239,8 +243,7 @@ impl OmniMatchModel {
 
     /// Extract item features (§4.2: items use only the shared-style head).
     pub fn item_features(&self, docs: &[&[usize]], training: bool, rng: &mut Rng) -> Tensor {
-        let embedded = self.embed_docs(docs);
-        let pooled = self.item_backbone.forward(&embedded);
+        let pooled = self.encode(&self.item_backbone, docs);
         self.dropout
             .forward(&self.item_head.forward(&pooled).relu(), training, rng)
     }

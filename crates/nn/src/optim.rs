@@ -4,6 +4,7 @@
 
 use std::collections::BTreeMap;
 
+use om_tensor::kernels::{self, AdadeltaHp};
 use om_tensor::Tensor;
 
 use crate::serialize::CheckpointError;
@@ -378,6 +379,11 @@ impl Adadelta {
 }
 
 impl Optimizer for Adadelta {
+    /// Updates each parameter with the borrowed gradient through
+    /// `kernels::adadelta_update`. With observability on, the same
+    /// per-element update runs one element at a time instead
+    /// (`kernels::adadelta_element`, bitwise the kernel) so the stats see
+    /// every step.
     // om-lint: reduction-ok(five f64 telemetry accumulators over params in
     // fixed registration order, single-threaded — the update itself is
     // element-wise; the sums only feed StepStats observability)
@@ -385,6 +391,7 @@ impl Optimizer for Adadelta {
         // om-fault: kill-point
         om_obs::fault::kill_point("optim-step");
         let collect = om_obs::enabled();
+        let h = AdadeltaHp { lr: self.lr, rho: self.rho, eps: self.eps };
         let mut grad_sq = 0.0f64;
         let mut upd_sq = 0.0f64;
         let mut param_sq = 0.0f64;
@@ -392,9 +399,8 @@ impl Optimizer for Adadelta {
         let mut acc_sum = 0.0f64;
         let mut n_elems = 0u64;
         for p in &self.params {
-            let grad = match p.grad_vec() {
-                Some(g) => g,
-                None => continue,
+            let Some(grad) = p.grad() else {
+                continue;
             };
             let sq = self
                 .sq_avg
@@ -405,24 +411,20 @@ impl Optimizer for Adadelta {
                 .entry(p.id())
                 .or_insert_with(|| vec![0.0; p.numel()]);
             let mut data = p.data_mut();
-            for i in 0..grad.len() {
-                let g = grad[i];
-                sq[i] = self.rho * sq[i] + (1.0 - self.rho) * g * g;
-                let delta = ((acc[i] + self.eps).sqrt() / (sq[i] + self.eps).sqrt()) * g;
-                acc[i] = self.rho * acc[i] + (1.0 - self.rho) * delta * delta;
-                data[i] -= self.lr * delta;
-                if collect {
-                    let upd = (self.lr * delta) as f64;
-                    grad_sq += (g as f64) * (g as f64);
-                    upd_sq += upd * upd;
-                    param_sq += (data[i] as f64) * (data[i] as f64);
-                    sq_sum += sq[i] as f64;
-                    acc_sum += acc[i] as f64;
-                }
+            if !collect {
+                kernels::adadelta_update(&mut data, &grad, sq, acc, h);
+                continue;
             }
-            if collect {
-                n_elems += grad.len() as u64;
+            for (((x, &g), s), a) in data.iter_mut().zip(grad.iter()).zip(sq.iter_mut()).zip(acc.iter_mut()) {
+                let delta = kernels::adadelta_element(x, g, s, a, h);
+                let upd = (self.lr * delta) as f64;
+                grad_sq += (g as f64) * (g as f64);
+                upd_sq += upd * upd;
+                param_sq += (*x as f64) * (*x as f64);
+                sq_sum += *s as f64;
+                acc_sum += *a as f64;
             }
+            n_elems += grad.len() as u64;
         }
         self.last_stats = if collect && n_elems > 0 {
             let n = n_elems as f64;

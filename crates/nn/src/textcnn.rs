@@ -1,14 +1,17 @@
 //! The TextCNN feature extractor of §4.2: parallel 1-D convolutions with
-//! kernel widths (3, 4, 5) over embedded review documents, ReLU, and
+//! kernel widths (3, 4, 5) over word-embedded review documents, ReLU, and
 //! max-over-time pooling (Eqs. 4–7). Output width = `kernels × filters`.
 //!
-//! Each branch is one tape op, `Tensor::conv_relu_max_pool`: a GEMM over
-//! the branch's windows, bias, ReLU and max-over-time in one pass that
-//! keeps only each (document, filter)'s winning window, so the backward
-//! touches those windows alone. It is bitwise the composed unfold (im2col)
-//! → GEMM → bias → ReLU → pooling chain, and like those kernels it runs on
-//! `om_tensor`'s worker pool (see `om_tensor::runtime`), so the extractor
-//! scales with cores while staying bitwise deterministic.
+//! The whole extractor is one tape op, `Tensor::text_cnn`: it takes the
+//! embedding table and the documents' token ids, gathers each document's
+//! rows into a small scratch, runs every branch's window GEMM, bias, ReLU
+//! and max-over-time there, and keeps only each (document, branch,
+//! filter)'s winning window. Its backward touches those windows and the
+//! table rows the ids name, adding straight into the parameters'
+//! gradients. It is bitwise the composed embedding gather → unfold (im2col)
+//! → GEMM → bias → ReLU → pooling → concat chain, and like those kernels it
+//! runs on `om_tensor`'s worker pool (see `om_tensor::runtime`), so the
+//! extractor scales with cores while staying bitwise deterministic.
 
 use om_tensor::{init, Rng, Tensor};
 
@@ -60,25 +63,27 @@ impl TextCnn {
         self.branches.iter().map(|b| b.width).max().unwrap_or(1)
     }
 
-    /// Forward pass over a batch of embedded documents `[batch, len, emb]`
-    /// → pooled features `[batch, out_dim]` (Eqs. 4–7).
-    pub fn forward(&self, embedded: &Tensor) -> Tensor {
-        let dims = embedded.dims();
-        assert_eq!(dims.len(), 3, "TextCnn expects [batch, len, emb]");
-        let (l, d) = (dims[1], dims[2]);
-        assert_eq!(d, self.emb_dim, "TextCnn: embedding width mismatch");
+    /// Forward pass over a batch of equal-length documents of token ids
+    /// into `table [vocab, emb]` → pooled features `[batch, out_dim]`
+    /// (Eqs. 4–7).
+    pub fn forward(&self, table: &Tensor, docs: &[&[usize]]) -> Tensor {
+        assert!(!docs.is_empty(), "TextCnn: empty batch");
+        assert_eq!(table.dims()[1], self.emb_dim, "TextCnn: embedding width mismatch");
+        let len = docs[0].len();
         assert!(
-            l >= self.min_len(),
-            "TextCnn: document length {l} shorter than widest kernel {}",
+            len >= self.min_len(),
+            "TextCnn: document length {len} shorter than widest kernel {}",
             self.min_len()
         );
-        let pooled: Vec<Tensor> = self
-            .branches
+        let ids: Vec<usize> = docs
             .iter()
-            .map(|br| embedded.conv_relu_max_pool(&br.weight, &br.bias, br.width)) // [b, filters]
+            .flat_map(|d| {
+                assert_eq!(d.len(), len, "TextCnn: ragged documents");
+                d.iter().copied()
+            })
             .collect();
-        let refs: Vec<&Tensor> = pooled.iter().collect();
-        Tensor::concat_cols(&refs)
+        let branches: Vec<(&Tensor, &Tensor)> = self.branches.iter().map(|br| (&br.weight, &br.bias)).collect();
+        Tensor::text_cnn(table, &ids, len, &branches) // [batch, branches·filters]
     }
 }
 
@@ -96,14 +101,20 @@ mod tests {
     use super::*;
     use om_tensor::seeded_rng;
 
+    /// `docs` as the slices `forward` takes.
+    fn views(docs: &[Vec<usize>]) -> Vec<&[usize]> {
+        docs.iter().map(Vec::as_slice).collect()
+    }
+
     #[test]
     fn paper_configuration_shapes() {
         let mut rng = seeded_rng(1);
         let cnn = TextCnn::new(16, &[3, 4, 5], 20, &mut rng);
         assert_eq!(cnn.out_dim(), 60);
         assert_eq!(cnn.min_len(), 5);
-        let x = Tensor::zeros(&[2, 12, 16]);
-        assert_eq!(cnn.forward(&x).dims(), &[2, 60]);
+        let table = Tensor::zeros(&[7, 16]);
+        let docs = vec![vec![0; 12], vec![6; 12]];
+        assert_eq!(cnn.forward(&table, &views(&docs)).dims(), &[2, 60]);
     }
 
     #[test]
@@ -113,9 +124,9 @@ mod tests {
         let cnn = TextCnn::new(1, &[1], 1, &mut rng);
         cnn.branches[0].weight.data_mut()[0] = 2.0;
         cnn.branches[0].bias.data_mut()[0] = 0.5;
-        // doc [1, 3, 1] = [1, -1, 4] → relu(2x + .5) per pos → max = 8.5
-        let x = Tensor::from_vec(vec![1.0, -1.0, 4.0], &[1, 3, 1]);
-        let y = cnn.forward(&x);
+        // doc [1, -1, 4] → relu(2x + .5) per pos → max = 8.5
+        let table = Tensor::from_vec(vec![1.0, -1.0, 4.0], &[3, 1]);
+        let y = cnn.forward(&table, &[&[0, 1, 2]]);
         assert_eq!(y.to_vec(), vec![8.5]);
     }
 
@@ -123,11 +134,13 @@ mod tests {
     fn gradients_flow_through_all_branches() {
         let mut rng = seeded_rng(3);
         let cnn = TextCnn::new(4, &[2, 3], 5, &mut rng);
-        let x = om_tensor::init::normal(&[2, 6, 4], 1.0, &mut rng);
-        cnn.forward(&x).sum_all().backward();
+        let table = om_tensor::init::normal(&[9, 4], 1.0, &mut rng).requires_grad();
+        let docs = vec![vec![1, 2, 3, 4, 5, 6], vec![8, 7, 0, 0, 0, 0]];
+        cnn.forward(&table, &views(&docs)).sum_all().backward();
         for p in cnn.params() {
             assert!(p.grad_vec().is_some(), "missing grad on {p:?}");
         }
+        assert!(table.grad_vec().is_some(), "missing grad on the table");
     }
 
     #[test]
@@ -144,7 +157,14 @@ mod tests {
     fn short_document_panics() {
         let mut rng = seeded_rng(5);
         let cnn = TextCnn::new(4, &[5], 2, &mut rng);
-        let x = Tensor::zeros(&[1, 3, 4]);
-        let _ = cnn.forward(&x);
+        let _ = cnn.forward(&Tensor::zeros(&[2, 4]), &[&[0, 1, 0]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "ragged documents")]
+    fn ragged_documents_panic() {
+        let mut rng = seeded_rng(6);
+        let cnn = TextCnn::new(4, &[2], 2, &mut rng);
+        let _ = cnn.forward(&Tensor::zeros(&[2, 4]), &[&[0, 1, 0], &[1, 1]]);
     }
 }

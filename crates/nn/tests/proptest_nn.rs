@@ -95,10 +95,13 @@ proptest! {
         let cnn = TextCnn::new(3, &[2, 3], 4, &mut rng);
         let doc = init::normal(&[1, 6, 3], 1.0, &mut rng);
         let other = init::normal(&[1, 6, 3], 1.0, &mut rng);
-        let solo = cnn.forward(&doc);
-        let mut batch_data = doc.to_vec();
-        batch_data.extend(other.to_vec());
-        let batch = cnn.forward(&Tensor::from_vec(batch_data, &[2, 6, 3]));
+        // The two documents' rows as a table, read through ids.
+        let mut rows = doc.to_vec();
+        rows.extend(other.to_vec());
+        let table = Tensor::from_vec(rows, &[12, 3]);
+        let (doc_ids, other_ids): (Vec<usize>, Vec<usize>) = ((0..6).collect(), (6..12).collect());
+        let solo = cnn.forward(&table, &[&doc_ids]);
+        let batch = cnn.forward(&table, &[&doc_ids, &other_ids]);
         for i in 0..solo.numel() {
             prop_assert!((solo.at(i) - batch.at(i)).abs() < 1e-5);
         }

@@ -1,9 +1,12 @@
 //! `TextCnn` against a reference TextCNN built here from om-tensor's
-//! public ops — per branch `unfold_windows → matmul → add_row → relu →
-//! reshape → max_over_time`, then `concat_cols` — sharing the layer's own
-//! parameters. The forward output and the gradients of the input and of
-//! every parameter must be equal bit for bit, at the model's default and
-//! `fast()` dimensions, at one thread and at the maximum.
+//! public ops — `embedding_lookup → reshape`, then per branch
+//! `unfold_windows → matmul → add_row → relu → reshape → max_over_time`,
+//! then `concat_cols` — sharing the layer's own parameters. The input is a
+//! `[batch, len, emb]` activation held as a `batch·len`-row table read
+//! through ids `0..batch·len`, so "d input" is the table's gradient. The
+//! forward output and the gradients of the input and of every parameter
+//! must be equal bit for bit, at the model's default and `fast()`
+//! dimensions, at one thread and at the maximum.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -25,9 +28,12 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// The composed TextCNN over `params = [w₃, b₃, w₄, b₄, w₅, b₅]`.
-fn reference_forward(params: &[Tensor], x: &Tensor) -> Tensor {
-    let (b, l) = (x.dims()[0], x.dims()[1]);
+/// The composed TextCNN over `params = [w₃, b₃, w₄, b₄, w₅, b₅]`, on
+/// `docs` read from `table`.
+fn reference_forward(params: &[Tensor], table: &Tensor, docs: &[&[usize]]) -> Tensor {
+    let (b, l) = (docs.len(), docs[0].len());
+    let ids: Vec<usize> = docs.concat();
+    let x = table.embedding_lookup(&ids).reshape(&[b, l, table.dims()[1]]);
     let pooled: Vec<Tensor> = WIDTHS
         .iter()
         .zip(params.chunks(2))
@@ -45,11 +51,11 @@ fn reference_forward(params: &[Tensor], x: &Tensor) -> Tensor {
 
 /// Forward + backward with upstream `g`: output, d input, then every
 /// parameter's gradient, as bits.
-fn run(cnn: &TextCnn, x: &Tensor, g: &[f32], fused: bool) -> Vec<Vec<u32>> {
+fn run(cnn: &TextCnn, x: &Tensor, docs: &[&[usize]], g: &[f32], fused: bool) -> Vec<Vec<u32>> {
     cnn.zero_grad();
     x.zero_grad();
     let params = cnn.params();
-    let y = if fused { cnn.forward(x) } else { reference_forward(&params, x) };
+    let y = if fused { cnn.forward(x, docs) } else { reference_forward(&params, x, docs) };
     y.backward_with(g);
     let mut out = vec![bits(&y.to_vec()), bits(&x.grad_vec().expect("input gradient"))];
     out.extend(params.iter().map(|p| bits(&p.grad_vec().expect("parameter gradient"))));
@@ -65,17 +71,19 @@ fn check(batch: usize, len: usize, emb: usize, filters: usize, seed: u64) {
     for doc in data.chunks_mut(len * emb).step_by(3) {
         doc[len * emb / 2..].fill(0.0);
     }
-    let x = Tensor::from_vec(data, &[batch, len, emb]).requires_grad();
+    let x = Tensor::from_vec(data, &[batch * len, emb]).requires_grad();
+    let ids: Vec<Vec<usize>> = (0..batch).map(|b| (b * len..(b + 1) * len).collect()).collect();
+    let docs: Vec<&[usize]> = ids.iter().map(Vec::as_slice).collect();
     let mut g = init::normal(&[batch, cnn.out_dim()], 1.0, rng).to_vec();
     for v in g.iter_mut().step_by(7) {
         *v = -0.0;
     }
     let _guard = thread_lock();
     let prev = runtime::set_threads(1);
-    let reference = run(&cnn, &x, &g, false);
+    let reference = run(&cnn, &x, &docs, &g, false);
     for threads in [1, runtime::max_threads()] {
         runtime::set_threads(threads);
-        let got = run(&cnn, &x, &g, true);
+        let got = run(&cnn, &x, &docs, &g, true);
         let names = ["output", "d input", "d w3", "d b3", "d w4", "d b4", "d w5", "d b5"];
         for ((name, want), got) in names.iter().zip(&reference).zip(&got) {
             assert_eq!(want, got, "{name} at {threads} threads ({batch}×{len}×{emb}, {filters} filters)");

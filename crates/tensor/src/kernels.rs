@@ -24,8 +24,9 @@
 //! [`crate::simd`] when the CPU supports them (override with
 //! `OM_SIMD=off`). The serial twins always stay scalar: they are the
 //! parity oracle. Kernels whose vector port preserves the exact scalar
-//! operation sequence (GEMM, the fused TextCNN forward, elementwise,
-//! `pair_rows`, dequantisation) remain bitwise identical to their twins;
+//! operation sequence (GEMM, the TextCNN tower forward and backward, the
+//! table-gradient scatter, Adadelta, elementwise, `pair_rows`,
+//! dequantisation) remain bitwise identical to their twins;
 //! reordered reductions ([`sum`]) and the polynomial-exp softmax row match
 //! within a registered ULP tolerance (see `tests/parity.rs`).
 //!
@@ -35,10 +36,15 @@
 //! at `+0.0` never becomes `-0.0`, so no caller's `c` does; debug builds
 //! assert it.
 //!
-//! The fused TextCNN forward ([`conv_relu_max_pool`]) builds no window
-//! matrix: the blocked GEMM kernel takes a row stride, so each document's
-//! windows are read in place at `lda = dim`. Only the serial twin still
-//! copies them.
+//! The TextCNN tower ([`text_cnn`], [`text_cnn_backward`]) goes from token
+//! ids to pooled features without building the embedded documents or any
+//! window matrix: each document's table rows are gathered into an L1
+//! scratch, and the blocked GEMM kernel reads its windows there in place
+//! through its row stride (`lda = dim`). Only the serial twin builds the
+//! composed path's windows. The backward adds straight into the parents'
+//! gradient buffers; the table's rows are summed per id and added once per
+//! row an id names ([`scatter_add_rows`], also `embedding_lookup`'s
+//! backward), so no `[vocab, dim]` buffer is built either.
 
 use std::sync::OnceLock;
 
@@ -582,64 +588,81 @@ pub fn pair_rows_serial(users: &[f32], items: &[f32], du: usize, di: usize) -> V
 }
 
 // ---------------------------------------------------------------------------
-// Fused TextCNN branch: convolution → bias → ReLU → max-over-time
+// TextCNN tower: token ids → convolution → bias → ReLU → max-over-time
 // ---------------------------------------------------------------------------
 
-/// Geometry of one TextCNN branch: `docs` documents of `len` tokens, each
-/// token a `dim`-wide row, convolved by `filters` filters spanning `width`
-/// tokens. Window `w` of a document is the `width·dim` contiguous values
-/// starting at token `w`; a document has `len − width + 1` of them.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ConvShape {
+/// Geometry of one TextCNN tower: `docs` documents of `len` token ids each,
+/// over a table of `dim`-wide rows, with one branch per kernel width in
+/// `widths`, each of `filters` filters. Branch `b`'s pooled features are
+/// output columns `b·filters..(b + 1)·filters`. Window `w` of a width-`k`
+/// branch is tokens `w..w + k` of a document, `k·dim` values once its rows
+/// are gathered; a document has `len − k + 1` of them.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct TowerShape {
     pub docs: usize,
     pub len: usize,
     pub dim: usize,
-    pub width: usize,
+    pub widths: Vec<usize>,
     pub filters: usize,
 }
 
-impl ConvShape {
-    fn windows(&self) -> usize {
-        self.len - self.width + 1
-    }
-
-    fn window_len(&self) -> usize {
-        self.width * self.dim
+impl TowerShape {
+    /// Output columns: one pooled feature per (branch, filter).
+    pub fn cols(&self) -> usize {
+        self.widths.len() * self.filters
     }
 
     fn doc_len(&self) -> usize {
         self.len * self.dim
     }
 
-    /// Pool grain for work items of `cost` multiply-adds each: enough
-    /// items that one task clears the GEMM's parallel threshold.
+    /// Multiply-adds of one document's forward over every branch.
+    fn doc_cost(&self) -> usize {
+        self.widths.iter().map(|&k| (self.len - k + 1) * k * self.dim * self.filters).sum()
+    }
+
+    /// Pool grain for documents of `cost` multiply-adds each: enough of
+    /// them that one task clears the GEMM's parallel threshold.
     fn grain(cost: usize) -> usize {
         (GEMM_PAR_FLOPS / cost.max(1)).max(1)
     }
 
-    fn check(&self, x: usize, w: usize, bias: usize) {
-        assert!(
-            self.width >= 1 && self.width <= self.len,
-            "conv: window {} out of range for len {}",
-            self.width,
-            self.len
-        );
-        assert!(self.dim > 0 && self.filters > 0, "conv: zero embedding width or filters");
-        assert!(self.windows() < NO_WINNER as usize, "conv: too many windows");
-        assert_eq!(x, self.docs * self.doc_len(), "conv: input is not [docs, len, dim]");
-        assert_eq!(w, self.window_len() * self.filters, "conv: weight is not [width·dim, filters]");
-        assert_eq!(bias, self.filters, "conv: bias is not [filters]");
+    /// Panics unless the inputs fit: every width in `1..=len`, a table of
+    /// `dim`-wide rows that every id indexes, `docs·len` ids, and one
+    /// `[width·dim, filters]` weight per branch.
+    fn check(&self, table: usize, ids: &[usize], weights: &[&[f32]]) {
+        assert!(!self.widths.is_empty(), "text_cnn: no branches");
+        assert!(self.dim > 0 && self.filters > 0, "text_cnn: zero embedding width or filters");
+        for &k in &self.widths {
+            assert!(k >= 1 && k <= self.len, "text_cnn: window {k} out of range for len {}", self.len);
+        }
+        assert!(self.len < NO_WINNER as usize, "text_cnn: too many windows");
+        assert!(table.is_multiple_of(self.dim), "text_cnn: table is not [vocab, dim]");
+        assert_eq!(ids.len(), self.docs * self.len, "text_cnn: ids are not [docs, len]");
+        let vocab = table / self.dim;
+        assert!(ids.iter().all(|&id| id < vocab), "text_cnn: an id is outside the table's {vocab} rows");
+        assert_eq!(weights.len(), self.widths.len(), "text_cnn: need one weight per branch");
+        for (w, &k) in weights.iter().zip(&self.widths) {
+            assert_eq!(w.len(), k * self.dim * self.filters, "text_cnn: a weight is not [width·dim, filters]");
+        }
     }
 
-    fn check_grad(&self, winners: usize, g: usize) {
-        assert_eq!(winners, self.docs * self.filters, "conv: winners are not [docs, filters]");
-        assert_eq!(g, self.docs * self.filters, "conv: upstream gradient is not [docs, filters]");
+    fn check_biases(&self, biases: &[&[f32]]) {
+        assert_eq!(biases.len(), self.widths.len(), "text_cnn: need one bias per branch");
+        assert!(biases.iter().all(|b| b.len() == self.filters), "text_cnn: a bias is not [filters]");
     }
 }
 
 /// The winner of a (document, filter) whose best pre-activation was ≤ 0:
 /// its ReLU is closed, so no gradient flows back through it.
 pub const NO_WINNER: u32 = u32::MAX;
+
+/// Copy the table rows a document's `ids` name into `rows [len, dim]`.
+fn gather_rows(table: &[f32], ids: &[usize], dim: usize, rows: &mut [f32]) {
+    for (dst, &id) in rows.chunks_exact_mut(dim).zip(ids) {
+        dst.copy_from_slice(&table[id * dim..(id + 1) * dim]);
+    }
+}
 
 /// Bias, ReLU and max-over-time of one document's window pre-activations
 /// `pre [t, filters]` into its `(pooled, winner)` slots: windows in order,
@@ -663,195 +686,464 @@ fn relu_max_pool_scalar(pre: &[f32], bias: &[f32], slots: &mut [(f32, u32)]) {
 }
 
 /// Forward of the documents from `doc0` on, one `(pooled, winner)` row of
-/// `out` per document. Each document's windows are its rows at stride
-/// `dim`, multiplied in place by the GEMM micro-kernel; the pool scan
-/// runs on the `[t, filters]` pre-activations it leaves.
-fn conv_pool_docs(x: &[f32], w: &[f32], bias: &[f32], s: ConvShape, doc0: usize, out: &mut [(f32, u32)]) {
-    let (t, kd, f) = (s.windows(), s.window_len(), s.filters);
-    let mut pre = vec![0.0f32; t * f];
+/// `out` per document. A document's rows are gathered into an L1 scratch;
+/// each branch's GEMM reads its windows there in place at row stride
+/// `dim`, and the pool scan runs on the `[t, filters]` pre-activations it
+/// leaves.
+fn tower_docs(
+    table: &[f32],
+    ids: &[usize],
+    weights: &[&[f32]],
+    biases: &[&[f32]],
+    s: &TowerShape,
+    doc0: usize,
+    out: &mut [(f32, u32)],
+) {
+    let f = s.filters;
+    let mut rows = vec![0.0f32; s.doc_len()];
+    let mut pre = vec![0.0f32; s.len * f];
     let (mut best, mut win) = (vec![0.0f32; f], vec![0u32; f]);
-    let docs = x[doc0 * s.doc_len()..].chunks(s.doc_len());
-    for (doc, slots) in docs.zip(out.chunks_mut(f)) {
-        pre.fill(0.0);
-        gemm_rows(doc, s.dim, w, &mut pre, t, kd, f);
-        if crate::simd::relu_max_pool(&pre, bias, &mut best, &mut win) {
-            for (slot, pair) in slots.iter_mut().zip(best.iter().copied().zip(win.iter().copied())) {
-                *slot = pair;
+    for (doc, slots) in (doc0..).zip(out.chunks_mut(s.cols())) {
+        gather_rows(table, &ids[doc * s.len..(doc + 1) * s.len], s.dim, &mut rows);
+        let branches = s.widths.iter().zip(weights.iter().zip(biases));
+        for ((&k, (w, bias)), slots) in branches.zip(slots.chunks_mut(f)) {
+            let t = s.len - k + 1;
+            let pre = &mut pre[..t * f];
+            pre.fill(0.0);
+            gemm_rows(&rows, s.dim, w, pre, t, k * s.dim, f);
+            if crate::simd::relu_max_pool(pre, bias, &mut best, &mut win) {
+                for (slot, pair) in slots.iter_mut().zip(best.iter().copied().zip(win.iter().copied())) {
+                    *slot = pair;
+                }
+            } else {
+                relu_max_pool_scalar(pre, bias, slots);
             }
-        } else {
-            relu_max_pool_scalar(&pre, bias, slots);
         }
     }
 }
 
-/// One TextCNN branch, forward: for each document of `x [docs, len, dim]`
-/// and filter `f` of `w [width·dim, filters]`, the max over windows of
-/// `relu(window · w[:, f] + bias[f])`, and the window that won. Returns
-/// `(pooled [docs, filters], winners [docs, filters])`; a winner is
+/// One TextCNN tower, forward: for each document of `ids [docs, len]`
+/// (rows of `table [vocab, dim]`), each branch `b` and each of its filters
+/// `f`, the max over windows of `relu(window · weights[b][:, f] +
+/// biases[b][f])`, and the window that won. Returns `(pooled [docs,
+/// branches·filters], winners [docs, branches·filters])`; a winner is
 /// [`NO_WINNER`] where the pooled value is 0.
 ///
-/// Bitwise equal to unfold → [`gemm`] → `+ bias` → `max(0.0)` →
-/// max-over-time: each pre-activation is the same `p`-ordered GEMM sum
-/// from `+0.0` (GEMM rows are partition-independent, and reading a window
-/// in place at row stride `dim` reads the values unfold would copy), then
-/// bias, ReLU and a strict `>` scan from −∞ in window order. That sum is
-/// never `-0.0`, so the vector scan's `max` has no signed-zero case to
-/// disagree on. Parallel over documents; no window matrix is built.
-// om-lint: simd — runs the GEMM micro-kernel; tolerance registered in
-// tests/parity.rs (ulp_tolerance("conv_relu_max_pool") = 0, bitwise).
-pub fn conv_relu_max_pool(x: &[f32], w: &[f32], bias: &[f32], s: ConvShape) -> (Vec<f32>, Vec<u32>) {
-    s.check(x.len(), w.len(), bias.len());
+/// Bitwise equal to gather → unfold → [`gemm`] → `+ bias` → `max(0.0)` →
+/// max-over-time per branch, concatenated: each pre-activation is the same
+/// `p`-ordered GEMM sum from `+0.0` over the values the gather and unfold
+/// would copy (GEMM rows are partition-independent), then bias, ReLU and a
+/// strict `>` scan from −∞ in window order. That sum is never `-0.0`, so
+/// the vector scan's `max` has no signed-zero case to disagree on.
+/// Parallel over documents; neither the embedded documents nor any window
+/// matrix is built.
+// om-lint: simd — runs the GEMM micro-kernel and the vector pool scan;
+// tolerance registered in tests/parity.rs (ulp_tolerance("text_cnn") = 0).
+pub fn text_cnn(table: &[f32], ids: &[usize], weights: &[&[f32]], biases: &[&[f32]], s: &TowerShape) -> (Vec<f32>, Vec<u32>) {
+    s.check(table.len(), ids, weights);
+    s.check_biases(biases);
     if om_obs::enabled() {
-        gemm_obs(s.docs * s.windows(), s.window_len(), s.filters);
+        for &k in &s.widths {
+            gemm_obs(s.docs * (s.len - k + 1), k * s.dim, s.filters);
+        }
     }
-    let mut packed = vec![(0.0f32, 0u32); s.docs * s.filters];
-    let grain = ConvShape::grain(s.windows() * s.window_len() * s.filters);
-    runtime::parallel_rows_mut(&mut packed, s.filters, grain, |doc0, out| {
-        conv_pool_docs(x, w, bias, s, doc0, out);
+    let mut packed = vec![(0.0f32, 0u32); s.docs * s.cols()];
+    runtime::parallel_rows_mut(&mut packed, s.cols(), TowerShape::grain(s.doc_cost()), |doc0, out| {
+        tower_docs(table, ids, weights, biases, s, doc0, out);
     });
     packed.into_iter().unzip()
 }
 
-/// Serial twin of [`conv_relu_max_pool`]: the composed path on one thread
-/// — every window copied out (unfold), one scalar [`gemm_serial`], then
-/// the scalar pool scan.
-pub fn conv_relu_max_pool_serial(x: &[f32], w: &[f32], bias: &[f32], s: ConvShape) -> (Vec<f32>, Vec<u32>) {
-    s.check(x.len(), w.len(), bias.len());
-    let (t, kd, f) = (s.windows(), s.window_len(), s.filters);
-    let mut windows = Vec::with_capacity(s.docs * t * kd);
-    for doc in x.chunks(s.doc_len()) {
-        for wi in 0..t {
-            windows.extend_from_slice(&doc[wi * s.dim..wi * s.dim + kd]);
-        }
+/// Serial twin of [`text_cnn`]: the composed path on one thread — every
+/// document's rows gathered, every window copied out (unfold), one scalar
+/// [`gemm_serial`] per branch, then the scalar pool scan.
+pub fn text_cnn_serial(table: &[f32], ids: &[usize], weights: &[&[f32]], biases: &[&[f32]], s: &TowerShape) -> (Vec<f32>, Vec<u32>) {
+    s.check(table.len(), ids, weights);
+    s.check_biases(biases);
+    let (d, f, cols) = (s.dim, s.filters, s.cols());
+    let mut x = vec![0.0f32; s.docs * s.doc_len()];
+    for (rows, doc_ids) in x.chunks_mut(s.doc_len()).zip(ids.chunks(s.len)) {
+        gather_rows(table, doc_ids, d, rows);
     }
-    let mut pre = vec![0.0f32; s.docs * t * f];
-    gemm_serial(&windows, w, &mut pre, s.docs * t, kd, f);
-    let mut packed = vec![(0.0f32, 0u32); s.docs * f];
-    for (slots, doc_pre) in packed.chunks_mut(f).zip(pre.chunks(t * f)) {
-        relu_max_pool_scalar(doc_pre, bias, slots);
+    let mut packed = vec![(0.0f32, 0u32); s.docs * cols];
+    for (b, (&k, (w, bias))) in s.widths.iter().zip(weights.iter().zip(biases)).enumerate() {
+        let (t, kd) = (s.len - k + 1, k * d);
+        let mut windows = Vec::with_capacity(s.docs * t * kd);
+        for doc in x.chunks(s.doc_len()) {
+            for wi in 0..t {
+                windows.extend_from_slice(&doc[wi * d..wi * d + kd]);
+            }
+        }
+        let mut pre = vec![0.0f32; s.docs * t * f];
+        gemm_serial(&windows, w, &mut pre, s.docs * t, kd, f);
+        for (row, doc_pre) in packed.chunks_mut(cols).zip(pre.chunks(t * f)) {
+            relu_max_pool_scalar(doc_pre, bias, &mut row[b * f..(b + 1) * f]);
+        }
     }
     packed.into_iter().unzip()
 }
 
-/// `d(x)` of the documents from `doc0` on, given `wt = wᵀ [filters,
-/// width·dim]`: each window that won a filter gets the row `Σ g·wt[f]`
-/// over the filters it won, and the rows are added into the document in
-/// window order.
-// om-lint: reduction-ok(filter order inside a window's row, window order
-// into the document: the composed backward's order minus its zero terms)
-fn conv_input_grad_docs(wt: &[f32], winners: &[u32], g: &[f32], s: ConvShape, doc0: usize, dx: &mut [f32]) {
-    let (kd, f) = (s.window_len(), s.filters);
-    let mut row = vec![0.0f32; kd];
-    let mut won: Vec<(u32, usize)> = Vec::with_capacity(f);
-    for (bi, doc) in (doc0..).zip(dx.chunks_mut(s.doc_len())) {
-        let (wins, gs) = (&winners[bi * f..(bi + 1) * f], &g[bi * f..(bi + 1) * f]);
-        won.clear();
-        won.extend(wins.iter().enumerate().filter(|&(_, &wi)| wi != NO_WINNER).map(|(fi, &wi)| (wi, fi)));
-        won.sort_unstable();
-        for window in won.chunk_by(|a, b| a.0 == b.0) {
-            row.fill(0.0);
-            for &(_, fi) in window {
-                let gv = gs[fi];
-                for (r, &wv) in row.iter_mut().zip(&wt[fi * kd..(fi + 1) * kd]) {
-                    *r += gv * wv;
+/// `y += s·x` over one row: the AVX2 port when dispatch allows, else the
+/// scalar loop. Either way one multiply and one add per element.
+fn axpy(s: f32, x: &[f32], y: &mut [f32]) {
+    if !crate::simd::axpy(s, x, y) {
+        axpy_scalar(s, x, y);
+    }
+}
+
+/// The scalar `y += s·x` the serial twins run.
+fn axpy_scalar(s: f32, x: &[f32], y: &mut [f32]) {
+    assert_eq!(x.len(), y.len(), "axpy: length mismatch");
+    for (o, &v) in y.iter_mut().zip(x) {
+        *o += s * v;
+    }
+}
+
+/// A row primitive `y += s·x`: [`axpy`] in the dispatched kernels,
+/// [`axpy_scalar`] in their serial twins.
+type Axpy = fn(f32, &[f32], &mut [f32]);
+
+/// The table gradient of a row gather, built per id: each id's row
+/// gradients are summed in token order from `+0.0`, then each sum is added
+/// once into the table row of its id. Rows no id names are never touched.
+struct IdRowSums {
+    dim: usize,
+    /// Per table row, its row in `sums`, or `u32::MAX` when no id names it.
+    slot: Vec<u32>,
+    /// The ids named, in first-seen order: `sums` row `i` is `touched[i]`'s.
+    touched: Vec<usize>,
+    sums: Vec<f32>,
+}
+
+impl IdRowSums {
+    fn new(rows: usize, dim: usize, ids: &[usize]) -> IdRowSums {
+        let mut slot = vec![u32::MAX; rows];
+        let mut touched = Vec::new();
+        for &id in ids {
+            if slot[id] == u32::MAX {
+                slot[id] = u32::try_from(touched.len()).expect("IdRowSums: too many distinct ids");
+                touched.push(id);
+            }
+        }
+        IdRowSums { dim, slot, sums: vec![0.0; touched.len() * dim], touched }
+    }
+
+    /// Add `rows [ids.len(), dim]` into their ids' sums, in order.
+    fn add_rows(&mut self, ids: &[usize], rows: &[f32], axpy: Axpy) {
+        let d = self.dim;
+        for (&id, row) in ids.iter().zip(rows.chunks_exact(d)) {
+            let at = self.slot[id] as usize * d;
+            axpy(1.0, row, &mut self.sums[at..at + d]);
+        }
+    }
+
+    /// Add every sum once into its id's row of `grad [rows, dim]`.
+    fn add_into(&self, grad: &mut [f32], axpy: Axpy) {
+        let d = self.dim;
+        for (&id, sum) in self.touched.iter().zip(self.sums.chunks_exact(d)) {
+            axpy(1.0, sum, &mut grad[id * d..(id + 1) * d]);
+        }
+    }
+}
+
+fn check_scatter(ids: &[usize], rows: &[f32], dim: usize, grad: &[f32]) {
+    assert!(dim > 0, "scatter_add_rows: zero row width");
+    assert_eq!(rows.len(), ids.len() * dim, "scatter_add_rows: rows are not [ids, dim]");
+    assert!(grad.len().is_multiple_of(dim), "scatter_add_rows: grad is not [table rows, dim]");
+    let n = grad.len() / dim;
+    assert!(ids.iter().all(|&id| id < n), "scatter_add_rows: an id is outside the table's {n} rows");
+}
+
+/// Table gradient of a row gather (`embedding_lookup`'s backward): `rows
+/// [ids.len(), dim]` holds each gathered row's gradient. Per id, its rows
+/// are summed in order from `+0.0` and the sum is added once into `grad`'s
+/// row `id`; rows no id names are not touched, and no `[table rows, dim]`
+/// buffer is built.
+///
+/// Bitwise the dense scatter — such a buffer of those sums, added in full
+/// — whenever `grad` holds no `-0.0`: the dense scatter only adds `+0.0` to
+/// an untouched row, and a sum that starts at `+0.0` is never `-0.0`.
+// om-lint: simd — lanewise row adds; tolerance registered in
+// tests/parity.rs (ulp_tolerance("scatter_add_rows") = 0, bitwise).
+pub fn scatter_add_rows(ids: &[usize], rows: &[f32], dim: usize, grad: &mut [f32]) {
+    check_scatter(ids, rows, dim, grad);
+    let mut sums = IdRowSums::new(grad.len() / dim, dim, ids);
+    sums.add_rows(ids, rows, axpy);
+    sums.add_into(grad, axpy);
+}
+
+/// Serial twin of [`scatter_add_rows`] — scalar row adds.
+pub fn scatter_add_rows_serial(ids: &[usize], rows: &[f32], dim: usize, grad: &mut [f32]) {
+    check_scatter(ids, rows, dim, grad);
+    let mut sums = IdRowSums::new(grad.len() / dim, dim, ids);
+    sums.add_rows(ids, rows, axpy_scalar);
+    sums.add_into(grad, axpy_scalar);
+}
+
+/// The gradient buffers a tower's backward adds into, each lent by its
+/// parent, or `None` where the parent takes no gradient. Values are added
+/// in place, so a buffer may already hold other ops' contributions.
+pub struct TowerGrads<'a> {
+    /// `[vocab, dim]`, the table's.
+    pub table: Option<&'a mut [f32]>,
+    /// Per branch, `[width·dim, filters]`.
+    pub weights: Vec<Option<&'a mut [f32]>>,
+    /// Per branch, `[filters]`.
+    pub biases: Vec<Option<&'a mut [f32]>>,
+}
+
+/// What a tower's backward reads besides the parameters: the ids, the
+/// forward's winners and the upstream gradient, with their geometry.
+struct TowerTape<'a> {
+    ids: &'a [usize],
+    winners: &'a [u32],
+    g: &'a [f32],
+    s: &'a TowerShape,
+}
+
+impl TowerTape<'_> {
+    /// Document `doc`'s `(ids, winners, upstream gradient)`.
+    fn doc(&self, doc: usize) -> (&[usize], &[u32], &[f32]) {
+        let (len, cols) = (self.s.len, self.s.cols());
+        let row = doc * cols..(doc + 1) * cols;
+        (&self.ids[doc * len..(doc + 1) * len], &self.winners[row.clone()], &self.g[row])
+    }
+}
+
+/// One branch's `d(x)` of one document into `dx`, which holds `+0.0`:
+/// each window that won a filter gets the row `Σ g·wᵀ[f]` over the
+/// filters it won, in filter order from `+0.0`, and the rows are added
+/// into the document in window order. `wt` is the branch's `wᵀ
+/// [filters, k·dim]`; `wins` and `gs` are its filters' winners and
+/// upstream gradient; `row` and `won` are scratch.
+fn branch_input_grad(wt: &[f32], (wins, gs): (&[u32], &[f32]), dim: usize, dx: &mut [f32], (row, won): (&mut [f32], &mut Vec<(u32, usize)>), axpy: Axpy) {
+    let kd = wt.len() / wins.len();
+    won.clear();
+    won.extend(wins.iter().enumerate().filter(|&(_, &wi)| wi != NO_WINNER).map(|(fi, &wi)| (wi, fi)));
+    won.sort_unstable();
+    let row = &mut row[..kd];
+    for window in won.chunk_by(|a, b| a.0 == b.0) {
+        row.fill(0.0);
+        for &(_, fi) in window.iter() {
+            axpy(gs[fi], &wt[fi * kd..(fi + 1) * kd], row);
+        }
+        let at = window[0].0 as usize * dim;
+        axpy(1.0, row, &mut dx[at..at + kd]);
+    }
+}
+
+/// The tower's table gradient. Each document's input gradient is
+/// completed in scratch: every branch's `d(x)` starts at `+0.0`, and they
+/// are added in reverse branch order, `(d₂ + d₁) + d₀` for three branches,
+/// as the per-branch tape nodes of the composed ops run. Its rows then
+/// join their ids' sums ([`IdRowSums`]), which are added into `grad` once
+/// every document is in.
+fn tower_table_grad(weights: &[&[f32]], tape: &TowerTape<'_>, grad: &mut [f32], axpy: Axpy) {
+    let s = tape.s;
+    let (d, f) = (s.dim, s.filters);
+    let wts: Vec<Vec<f32>> = weights.iter().zip(&s.widths).map(|(w, &k)| transpose_serial(w, k * d, f)).collect();
+    let max_kd = s.widths.iter().max().map_or(0, |&k| k * d);
+    let mut sums = IdRowSums::new(grad.len() / d, d, tape.ids);
+    let (mut done, mut dx, mut row) = (vec![0.0f32; s.doc_len()], vec![0.0f32; s.doc_len()], vec![0.0f32; max_kd]);
+    let mut won = Vec::with_capacity(f);
+    for doc in 0..s.docs {
+        let (doc_ids, wins, gs) = tape.doc(doc);
+        for (b, wt) in wts.iter().enumerate().rev() {
+            let last = b + 1 == wts.len();
+            let into = if last { &mut done } else { &mut dx };
+            into.fill(0.0);
+            let filters = (&wins[b * f..(b + 1) * f], &gs[b * f..(b + 1) * f]);
+            branch_input_grad(wt, filters, d, into, (&mut row, &mut won), axpy);
+            if !last {
+                axpy(1.0, &dx, &mut done);
+            }
+        }
+        sums.add_rows(doc_ids, &done, axpy);
+    }
+    sums.add_into(grad, axpy);
+}
+
+/// The tower's filter and bias gradients. Per branch, row `f` of `dwᵀ
+/// [filters, k·dim]` sums `g·window` over the documents whose filter `f`
+/// fired, in document order from `+0.0` (each document's rows gathered
+/// once), and is then added transposed into `dw`; `dbias` sums `g` over
+/// the same documents in the same order.
+fn tower_param_grads(table: &[f32], tape: &TowerTape<'_>, dws: &mut [Option<&mut [f32]>], dbs: &mut [Option<&mut [f32]>], axpy: Axpy) {
+    let s = tape.s;
+    let (d, f) = (s.dim, s.filters);
+    let mut dwt: Vec<Vec<f32>> = s.widths.iter().map(|&k| vec![0.0f32; f * k * d]).collect();
+    let mut db = vec![0.0f32; s.cols()];
+    let mut rows = vec![0.0f32; s.doc_len()];
+    for doc in 0..s.docs {
+        let (doc_ids, wins, gs) = tape.doc(doc);
+        gather_rows(table, doc_ids, d, &mut rows);
+        for (b, (&k, dwt)) in s.widths.iter().zip(&mut dwt).enumerate() {
+            let kd = k * d;
+            for (fi, row) in dwt.chunks_exact_mut(kd).enumerate() {
+                let c = b * f + fi;
+                if wins[c] == NO_WINNER {
+                    continue;
+                }
+                db[c] += gs[c];
+                let at = wins[c] as usize * d;
+                axpy(gs[c], &rows[at..at + kd], row);
+            }
+        }
+    }
+    for (b, ((dw, dbias), dwt)) in dws.iter_mut().zip(dbs.iter_mut()).zip(&dwt).enumerate() {
+        let kd = s.widths[b] * d;
+        if let Some(dw) = dw {
+            for (p, out) in dw.chunks_exact_mut(f).enumerate() {
+                for (fi, o) in out.iter_mut().enumerate() {
+                    *o += dwt[fi * kd + p];
                 }
             }
-            let at = window[0].0 as usize * s.dim;
-            for (o, &r) in doc[at..at + kd].iter_mut().zip(&row) {
-                *o += r;
+        }
+        if let Some(dbias) = dbias {
+            for (o, &v) in dbias.iter_mut().zip(&db[b * f..(b + 1) * f]) {
+                *o += v;
             }
         }
     }
 }
 
-/// One TextCNN branch, `d(x) [docs, len, dim]` from the forward's
-/// `winners` and the upstream `g [docs, filters]`.
+/// One backward job of a tower: the table's gradient, or every branch's
+/// filter and bias gradients.
+enum TowerJob<'a> {
+    Table(&'a mut [f32]),
+    Params(Vec<Option<&'a mut [f32]>>, Vec<Option<&'a mut [f32]>>),
+}
+
+fn check_backward(table: usize, weights: &[&[f32]], ids: &[usize], winners: &[u32], g: &[f32], s: &TowerShape, grads: &TowerGrads<'_>) {
+    s.check(table, ids, weights);
+    let n = s.docs * s.cols();
+    assert_eq!(winners.len(), n, "text_cnn: winners are not [docs, branches·filters]");
+    assert_eq!(g.len(), n, "text_cnn: upstream gradient is not [docs, branches·filters]");
+    assert!(grads.table.as_ref().is_none_or(|t| t.len() == table), "text_cnn: table gradient is not [vocab, dim]");
+    assert_eq!(grads.weights.len(), s.widths.len(), "text_cnn: need one weight gradient slot per branch");
+    for (dw, w) in grads.weights.iter().zip(weights) {
+        assert!(dw.as_ref().is_none_or(|dw| dw.len() == w.len()), "text_cnn: a weight gradient is not [width·dim, filters]");
+    }
+    assert_eq!(grads.biases.len(), s.widths.len(), "text_cnn: need one bias gradient slot per branch");
+    assert!(grads.biases.iter().flatten().all(|db| db.len() == s.filters), "text_cnn: a bias gradient is not [filters]");
+}
+
+/// The jobs a backward has work for: the table's gradient when it takes
+/// one, and the filter and bias gradients when any of them is wanted.
+fn tower_jobs(grads: TowerGrads<'_>) -> Vec<TowerJob<'_>> {
+    let TowerGrads { table, weights, biases } = grads;
+    let params = weights.iter().chain(&biases).any(Option::is_some);
+    let params = params.then_some(TowerJob::Params(weights, biases));
+    table.map(TowerJob::Table).into_iter().chain(params).collect()
+}
+
+/// One TextCNN tower, backward: adds into `grads` the gradients of the
+/// table, of every branch's weight and of its bias, from the forward's
+/// `winners` and the upstream `g [docs, branches·filters]`.
 ///
-/// Bitwise equal to the composed backward — `g·wᵀ` through [`gemm`], then
-/// the unfold scatter in window order — whose other terms are exact zeros
-/// added to sums that start at +0. Only winning windows are touched.
-/// Parallel over blocks of documents.
-pub fn conv_pool_input_grad(w: &[f32], winners: &[u32], g: &[f32], s: ConvShape) -> Vec<f32> {
-    s.check_grad(winners.len(), g.len());
-    let wt = transpose(w, s.window_len(), s.filters);
-    let mut dx = vec![0.0f32; s.docs * s.doc_len()];
-    let grain = ConvShape::grain(s.filters * s.window_len());
-    runtime::parallel_rows_mut(&mut dx, s.doc_len(), grain, |doc0, dx| {
-        conv_input_grad_docs(&wt, winners, g, s, doc0, dx);
+/// Bitwise equal to the composed ops' backward — the per-branch `g·wᵀ`
+/// and `Xᵀ·g` through [`gemm`], the unfold scatter in window order, the
+/// three branches' `d(x)` added in reverse branch order, and the dense
+/// table scatter — whose other terms are exact `+0.0`s added to sums that
+/// start at `+0.0`, given `grads` holds no `-0.0` (see
+/// [`scatter_add_rows`]). Only winning windows and named table rows are
+/// touched. The table gradient and the filter gradients run as two tasks
+/// on the pool; each writes only its own buffers, in a fixed order.
+// om-lint: simd — lanewise row axpys; tolerance registered in
+// tests/parity.rs (ulp_tolerance("text_cnn_backward") = 0, bitwise).
+pub fn text_cnn_backward(
+    table: &[f32],
+    weights: &[&[f32]],
+    ids: &[usize],
+    winners: &[u32],
+    g: &[f32],
+    s: &TowerShape,
+    grads: TowerGrads<'_>,
+) {
+    check_backward(table.len(), weights, ids, winners, g, s, &grads);
+    let tape = TowerTape { ids, winners, g, s };
+    let mut jobs = tower_jobs(grads);
+    let cost = s.docs * s.filters * s.widths.iter().sum::<usize>() * s.dim;
+    let grain = if cost < GEMM_PAR_FLOPS { jobs.len() } else { 1 };
+    runtime::parallel_rows_mut(&mut jobs, 1, grain, |_, block| {
+        for job in block {
+            match job {
+                TowerJob::Table(grad) => tower_table_grad(weights, &tape, grad, axpy),
+                TowerJob::Params(dws, dbs) => tower_param_grads(table, &tape, dws, dbs, axpy),
+            }
+        }
     });
-    dx
 }
 
-/// Serial twin of [`conv_pool_input_grad`] — one thread.
-pub fn conv_pool_input_grad_serial(w: &[f32], winners: &[u32], g: &[f32], s: ConvShape) -> Vec<f32> {
-    s.check_grad(winners.len(), g.len());
-    let wt = transpose_serial(w, s.window_len(), s.filters);
-    let mut dx = vec![0.0f32; s.docs * s.doc_len()];
-    conv_input_grad_docs(&wt, winners, g, s, 0, &mut dx);
-    dx
-}
-
-/// Rows `f0..` of `dwᵀ [filters, width·dim]`: row `f` is `Σ g·window`
-/// over the documents whose filter `f` fired, in document order.
-// om-lint: reduction-ok(document order per filter, as the composed
-// Xᵀ·dC GEMM sums its rows, minus its zero terms)
-fn conv_weight_grad_rows(x: &[f32], winners: &[u32], g: &[f32], s: ConvShape, f0: usize, dwt: &mut [f32]) {
-    let (kd, f) = (s.window_len(), s.filters);
-    for (fi, row) in (f0..).zip(dwt.chunks_mut(kd)) {
-        for bi in 0..s.docs {
-            let wi = winners[bi * f + fi];
-            if wi == NO_WINNER {
-                continue;
-            }
-            let gv = g[bi * f + fi];
-            let at = bi * s.doc_len() + wi as usize * s.dim;
-            for (o, &xv) in row.iter_mut().zip(&x[at..at + kd]) {
-                *o += xv * gv;
-            }
+/// Serial twin of [`text_cnn_backward`] — both jobs in turn on one
+/// thread, with scalar row loops.
+pub fn text_cnn_backward_serial(
+    table: &[f32],
+    weights: &[&[f32]],
+    ids: &[usize],
+    winners: &[u32],
+    g: &[f32],
+    s: &TowerShape,
+    grads: TowerGrads<'_>,
+) {
+    check_backward(table.len(), weights, ids, winners, g, s, &grads);
+    let tape = TowerTape { ids, winners, g, s };
+    for job in tower_jobs(grads) {
+        match job {
+            TowerJob::Table(grad) => tower_table_grad(weights, &tape, grad, axpy_scalar),
+            TowerJob::Params(mut dws, mut dbs) => tower_param_grads(table, &tape, &mut dws, &mut dbs, axpy_scalar),
         }
     }
 }
 
-/// `dbias [filters]`: `g` summed over the documents whose filter fired,
-/// in document order.
-// om-lint: reduction-ok(document order per filter, as the composed
-// add_row backward sums its rows, minus its zero terms)
-fn conv_bias_grad(winners: &[u32], g: &[f32], f: usize) -> Vec<f32> {
-    let mut db = vec![0.0f32; f];
-    for (wins, gs) in winners.chunks(f).zip(g.chunks(f)) {
-        for ((d, &wi), &gv) in db.iter_mut().zip(wins).zip(gs) {
-            if wi != NO_WINNER {
-                *d += gv;
-            }
-        }
+// ---------------------------------------------------------------------------
+// Adadelta
+// ---------------------------------------------------------------------------
+
+/// Adadelta's hyper-parameters (Zeiler 2012): learning rate, decay `ρ` of
+/// both running averages, and `ε`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct AdadeltaHp {
+    pub lr: f32,
+    pub rho: f32,
+    pub eps: f32,
+}
+
+/// One Adadelta update of one parameter element; returns its step `δ`
+/// (the parameter moves by `−lr·δ`). The scalar definition both
+/// [`adadelta_update`] paths reproduce bit for bit.
+// om-lint: not-a-kernel
+pub fn adadelta_element(p: &mut f32, g: f32, sq: &mut f32, acc: &mut f32, h: AdadeltaHp) -> f32 {
+    *sq = h.rho * *sq + (1.0 - h.rho) * g * g;
+    let delta = ((*acc + h.eps).sqrt() / (*sq + h.eps).sqrt()) * g;
+    *acc = h.rho * *acc + (1.0 - h.rho) * delta * delta;
+    *p -= h.lr * delta;
+    delta
+}
+
+fn check_adadelta(p: &[f32], g: &[f32], sq: &[f32], acc: &[f32]) {
+    let n = p.len();
+    assert!(g.len() == n && sq.len() == n && acc.len() == n, "adadelta_update: length mismatch");
+}
+
+/// Adadelta over one parameter: [`adadelta_element`] on every element,
+/// 8 lanes wide under AVX2. Each step is one correctly rounded operation
+/// per lane in the scalar order, so it is bitwise the serial twin.
+// om-lint: simd — lanewise kernel; tolerance registered in tests/parity.rs
+// (ulp_tolerance("adadelta_update") = 0, bitwise).
+pub fn adadelta_update(p: &mut [f32], g: &[f32], sq: &mut [f32], acc: &mut [f32], h: AdadeltaHp) {
+    check_adadelta(p, g, sq, acc);
+    if !crate::simd::adadelta(p, g, sq, acc, h) {
+        adadelta_update_serial(p, g, sq, acc, h);
     }
-    db
 }
 
-/// One TextCNN branch, `(dw [width·dim, filters], dbias [filters])` from
-/// the input `x`, the forward's `winners` and the upstream `g`.
-///
-/// Bitwise equal to the composed backward (`Xᵀ·g` through [`gemm`] and the
-/// bias row sum), whose other terms are exact zeros added to sums that
-/// start at +0. Parallel over filters: each task owns whole rows of
-/// `dwᵀ`, transposed once at the end.
-pub fn conv_pool_param_grads(x: &[f32], winners: &[u32], g: &[f32], s: ConvShape) -> (Vec<f32>, Vec<f32>) {
-    s.check_grad(winners.len(), g.len());
-    let (kd, f) = (s.window_len(), s.filters);
-    let mut dwt = vec![0.0f32; f * kd];
-    runtime::parallel_rows_mut(&mut dwt, kd, ConvShape::grain(s.docs * kd), |f0, rows| {
-        conv_weight_grad_rows(x, winners, g, s, f0, rows);
-    });
-    (transpose(&dwt, f, kd), conv_bias_grad(winners, g, f))
-}
-
-/// Serial twin of [`conv_pool_param_grads`] — one thread.
-pub fn conv_pool_param_grads_serial(x: &[f32], winners: &[u32], g: &[f32], s: ConvShape) -> (Vec<f32>, Vec<f32>) {
-    s.check_grad(winners.len(), g.len());
-    let (kd, f) = (s.window_len(), s.filters);
-    let mut dwt = vec![0.0f32; f * kd];
-    conv_weight_grad_rows(x, winners, g, s, 0, &mut dwt);
-    (transpose_serial(&dwt, f, kd), conv_bias_grad(winners, g, f))
+/// Serial twin of [`adadelta_update`] — the scalar element loop.
+pub fn adadelta_update_serial(p: &mut [f32], g: &[f32], sq: &mut [f32], acc: &mut [f32], h: AdadeltaHp) {
+    check_adadelta(p, g, sq, acc);
+    for (((p, &g), sq), acc) in p.iter_mut().zip(g).zip(sq.iter_mut()).zip(acc.iter_mut()) {
+        adadelta_element(p, g, sq, acc, h);
+    }
 }
 
 #[cfg(test)]

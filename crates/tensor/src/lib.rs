@@ -11,14 +11,15 @@
 //! requires them.
 //!
 //! The op set is exactly what the OmniMatch architecture needs — dense
-//! algebra (matmul, bias broadcast), TextCNN plumbing (embedding gather,
-//! the fused conv → ReLU → max-over-time branch, and the unfold/im2col and
-//! max-over-time primitives it is tested against), loss machinery
+//! algebra (matmul, bias broadcast), TextCNN plumbing (the tower from
+//! token ids through conv → ReLU → max-over-time to pooled features, and
+//! the embedding gather, unfold/im2col and max-over-time primitives it is
+//! tested against), loss machinery
 //! (log-softmax, negative log-likelihood gather, L2 row normalisation for
 //! contrastive projections) and the gradient-reversal primitive used by
 //! domain adversarial training.
 //!
-//! Heavy kernels (GEMM, the fused conv branch, elementwise maps, row-wise
+//! Heavy kernels (GEMM, the TextCNN tower, elementwise maps, row-wise
 //! softmax/normalisation, reductions, unfold) execute on a global thread
 //! pool — see [`runtime`] for configuration (`OM_THREADS`) and [`kernels`]
 //! for the determinism contract: results are bitwise identical at every

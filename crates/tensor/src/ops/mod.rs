@@ -6,13 +6,15 @@
 //!
 //! * [`elementwise`] — add/sub/mul, scalar algebra, activations, exp/log.
 //! * [`matmul`] — dense 2-D matrix multiplication and transposition.
-//! * [`conv`] — the fused TextCNN branch: convolution → bias → ReLU →
-//!   max-over-time in one op whose backward touches only winning windows.
+//! * [`conv`] — the TextCNN tower: token ids → every branch's
+//!   convolution → bias → ReLU → max-over-time in one op, whose backward
+//!   touches only winning windows and the table rows the ids name.
 //! * [`reduce`] — full and axis reductions.
 //! * [`softmax`] — (log-)softmax over rows and the fused NLL gather.
 //! * [`structural`] — reshape, concat, embedding gather, unfold (im2col),
-//!   max-over-time pooling, row selection. Unfold and max-over-time are
-//!   also the composed reference [`conv`] is tested against.
+//!   max-over-time pooling, row selection. Gather, unfold and
+//!   max-over-time are also the composed reference [`conv`] is tested
+//!   against.
 //! * [`special`] — gradient reversal/scaling and L2 row normalisation.
 
 pub mod conv;

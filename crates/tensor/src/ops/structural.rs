@@ -136,7 +136,9 @@ impl Tensor {
 
     /// Gather rows of an embedding table `[vocab, d]` by index → `[len, d]`.
     /// Backward scatters gradients back into the gathered rows, which is the
-    /// standard sparse embedding gradient.
+    /// standard sparse embedding gradient: per index, its rows summed in
+    /// order, added once into the table's gradient
+    /// ([`kernels::scatter_add_rows`]), with no `[vocab, d]` buffer built.
     pub fn embedding_lookup(&self, indices: &[usize]) -> Tensor {
         let (vocab, d) = self.shape().as_2d();
         for &ix in indices {
@@ -157,13 +159,7 @@ impl Tensor {
             vec![self.clone()],
             Box::new(move |g, parents| {
                 if wants_grad(&parents[0]) {
-                    let mut gp = vec![0.0f32; vocab * d];
-                    for (row, &ix) in idx.iter().enumerate() {
-                        for j in 0..d {
-                            gp[ix * d + j] += g[row * d + j];
-                        }
-                    }
-                    acc(&parents[0], &gp);
+                    kernels::scatter_add_rows(&idx, g, d, &mut parents[0].grad_mut());
                 }
             }),
         )
@@ -378,6 +374,31 @@ mod tests {
             table.grad_vec().unwrap(),
             vec![1.0, 1.0, 0.0, 0.0, 2.0, 2.0]
         );
+    }
+
+    #[test]
+    fn embedding_lookup_repeated_indices_match_the_dense_scatter_bitwise() {
+        // Index 3 repeats inside the batch, 0 (like padding) at both ends;
+        // the table already holds a gradient, so each per-index sum must be
+        // added once, as the dense `[vocab, d]` scatter would add it.
+        let (vocab, d) = (6usize, 11usize);
+        let idx = [3usize, 0, 3, 5, 3, 1, 0];
+        let table = crate::init::uniform(&[vocab, d], -1.0, 1.0, &mut crate::seeded_rng(5)).requires_grad();
+        let prior = crate::init::uniform(&[vocab, d], -1.0, 1.0, &mut crate::seeded_rng(6)).to_vec();
+        table.accumulate_grad(&prior);
+        let mut g = crate::init::uniform(&[idx.len(), d], -1.0, 1.0, &mut crate::seeded_rng(7)).to_vec();
+        g[3] = -0.0;
+        g[d + 4] = -0.0;
+        table.embedding_lookup(&idx).backward_with(&g);
+        let mut dense = vec![0.0f32; vocab * d];
+        for (row, &ix) in idx.iter().enumerate() {
+            for j in 0..d {
+                dense[ix * d + j] += g[row * d + j];
+            }
+        }
+        let want: Vec<u32> = prior.iter().zip(&dense).map(|(p, s)| (p + s).to_bits()).collect();
+        let got: Vec<u32> = table.grad_vec().unwrap().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got, want);
     }
 
     #[test]

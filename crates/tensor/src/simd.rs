@@ -26,9 +26,11 @@
 //! * **Bitwise** — kernels whose vector port performs exactly the scalar
 //!   operation sequence per output element: the GEMM micro-tile
 //!   (separate multiply and add, never FMA, `p` increasing), the TextCNN
-//!   pool scan (bias, ReLU, strict-`>` max in window order), lanewise
-//!   elementwise ops, `pair_rows` copies and int8 dequantisation. These
-//!   register `ulp_tolerance` 0.
+//!   pool scan (bias, ReLU, strict-`>` max in window order), the tower
+//!   backward's row `axpy`, the Adadelta update (mul, add, sqrt and div
+//!   are each correctly rounded per lane), lanewise elementwise ops,
+//!   `pair_rows` copies and int8 dequantisation. These register
+//!   `ulp_tolerance` 0.
 //! * **ULP-bounded** — kernels that reorder a reduction across the
 //!   vector lanes ([`sum_chunk`]) or substitute a polynomial `exp`
 //!   ([`log_softmax_row`]). Still deterministic for a fixed input (the
@@ -172,6 +174,43 @@ pub fn relu_max_pool(pre: &[f32], bias: &[f32], best: &mut [f32], win: &mut [u32
         unsafe { x86::relu_max_pool_avx2(pre, bias, best, win) };
         return true;
     }
+    false
+}
+
+/// Lanewise `y[i] += s · x[i]`: one multiply, then one add, per element
+/// (never FMA), so bitwise the scalar `*y += s * x`. With `s = 1.0` it is
+/// exactly `*y += x`. The TextCNN tower's window-row, filter-row and
+/// table-row loops. Bitwise tier.
+#[inline]
+pub fn axpy(s: f32, x: &[f32], y: &mut [f32]) -> bool {
+    assert_eq!(x.len(), y.len(), "axpy: length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if active() {
+        // SAFETY: `active()` implies `is_x86_feature_detected!("avx2")`;
+        // the assert above is the slice bound the kernel relies on.
+        unsafe { x86::axpy_avx2(s, x, y) };
+        return true;
+    }
+    false
+}
+
+/// One Adadelta step over a parameter slice, lanewise:
+/// `sq ← ρ·sq + (1−ρ)·g·g`, `δ = (√(acc+ε) / √(sq+ε))·g`,
+/// `acc ← ρ·acc + (1−ρ)·δ·δ`, `p ← p − lr·δ`. Every operation is one
+/// correctly rounded IEEE operation per lane, in the scalar order of
+/// [`crate::kernels::adadelta_element`], so this is the bitwise tier.
+#[inline]
+pub fn adadelta(p: &mut [f32], g: &[f32], sq: &mut [f32], acc: &mut [f32], h: crate::kernels::AdadeltaHp) -> bool {
+    let n = p.len();
+    assert!(g.len() == n && sq.len() == n && acc.len() == n, "adadelta: length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if active() {
+        // SAFETY: `active()` implies `is_x86_feature_detected!("avx2")`;
+        // the assert above is the slice bound the kernel relies on.
+        unsafe { x86::adadelta_avx2(p, g, sq, acc, h) };
+        return true;
+    }
+    let _ = h;
     false
 }
 
@@ -373,6 +412,72 @@ mod x86 {
                 _ => a[i] * b[i],
             };
             i += 1;
+        }
+    }
+
+    #[target_feature(enable = "avx2")]
+    // SAFETY: AVX2 only (module contract); the wrapper asserts
+    // `x.len() == y.len()`, and every load/store below is bounded by it.
+    pub(super) unsafe fn axpy_avx2(s: f32, x: &[f32], y: &mut [f32]) {
+        let n = y.len();
+        let (px, py) = (x.as_ptr(), y.as_mut_ptr());
+        let vs = _mm256_set1_ps(s);
+        let mut i = 0usize;
+        while i + 8 <= n {
+            // SAFETY: i+8 <= n == x.len() == y.len().
+            unsafe {
+                let v = _mm256_add_ps(_mm256_loadu_ps(py.add(i)), _mm256_mul_ps(vs, _mm256_loadu_ps(px.add(i))));
+                _mm256_storeu_ps(py.add(i), v);
+            }
+            i += 8;
+        }
+        for (o, &v) in y[i..].iter_mut().zip(&x[i..]) {
+            *o += s * v;
+        }
+    }
+
+    #[target_feature(enable = "avx2")]
+    // SAFETY: AVX2 only (module contract); the wrapper asserts all four
+    // slices have `p.len()` elements, which bounds every load/store below.
+    pub(super) unsafe fn adadelta_avx2(
+        p: &mut [f32],
+        g: &[f32],
+        sq: &mut [f32],
+        acc: &mut [f32],
+        h: crate::kernels::AdadeltaHp,
+    ) {
+        let n = p.len();
+        let (rho, one_m_rho) = (_mm256_set1_ps(h.rho), _mm256_set1_ps(1.0 - h.rho));
+        let (eps, lr) = (_mm256_set1_ps(h.eps), _mm256_set1_ps(h.lr));
+        let (pp, pg, psq, pacc) = (p.as_mut_ptr(), g.as_ptr(), sq.as_mut_ptr(), acc.as_mut_ptr());
+        let mut i = 0usize;
+        while i + 8 <= n {
+            // SAFETY: i+8 <= n, the length of all four slices.
+            unsafe {
+                let vg = _mm256_loadu_ps(pg.add(i));
+                let vsq = _mm256_add_ps(
+                    _mm256_mul_ps(rho, _mm256_loadu_ps(psq.add(i))),
+                    _mm256_mul_ps(_mm256_mul_ps(one_m_rho, vg), vg),
+                );
+                let vacc = _mm256_loadu_ps(pacc.add(i));
+                let ratio = _mm256_div_ps(
+                    _mm256_sqrt_ps(_mm256_add_ps(vacc, eps)),
+                    _mm256_sqrt_ps(_mm256_add_ps(vsq, eps)),
+                );
+                let delta = _mm256_mul_ps(ratio, vg);
+                let vacc = _mm256_add_ps(
+                    _mm256_mul_ps(rho, vacc),
+                    _mm256_mul_ps(_mm256_mul_ps(one_m_rho, delta), delta),
+                );
+                let vp = _mm256_sub_ps(_mm256_loadu_ps(pp.add(i)), _mm256_mul_ps(lr, delta));
+                _mm256_storeu_ps(psq.add(i), vsq);
+                _mm256_storeu_ps(pacc.add(i), vacc);
+                _mm256_storeu_ps(pp.add(i), vp);
+            }
+            i += 8;
+        }
+        for j in i..n {
+            crate::kernels::adadelta_element(&mut p[j], g[j], &mut sq[j], &mut acc[j], h);
         }
     }
 

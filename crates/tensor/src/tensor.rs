@@ -250,6 +250,12 @@ impl Tensor {
         self.0.grad.borrow().clone()
     }
 
+    /// The accumulated gradient, borrowed rather than copied (optimizers
+    /// read it once per step). Never hold it across a backward pass.
+    pub fn grad(&self) -> Option<Ref<'_, [f32]>> {
+        Ref::filter_map(self.0.grad.borrow(), |g| g.as_deref()).ok()
+    }
+
     /// Clear the accumulated gradient.
     pub fn zero_grad(&self) {
         *self.0.grad.borrow_mut() = None;
@@ -260,9 +266,10 @@ impl Tensor {
         Tensor::from_vec(self.to_vec(), self.dims())
     }
 
-    /// Accumulate `g` into this node's gradient buffer.
+    /// Accumulate `g` into this node's gradient buffer. Panics when `g` is
+    /// not one value per element.
     pub fn accumulate_grad(&self, g: &[f32]) {
-        debug_assert_eq!(g.len(), self.numel());
+        assert_eq!(g.len(), self.numel(), "accumulate_grad: {} values for {} elements", g.len(), self.numel());
         let mut slot = self.0.grad.borrow_mut();
         match slot.as_mut() {
             Some(buf) => {
@@ -274,6 +281,21 @@ impl Tensor {
             }
             None => *slot = Some(g.to_vec()),
         }
+    }
+
+    /// Lend this node's gradient buffer for in place accumulation, created
+    /// `+0.0`-filled when absent. Adding values into it is bitwise
+    /// [`Tensor::accumulate_grad`] of the same values as long as none of
+    /// them is `-0.0` (`+0.0 + -0.0 = +0.0`, where a first `accumulate_grad`
+    /// would store the `-0.0`); every sum that starts at `+0.0` qualifies.
+    /// The buffer is asserted to hold one value per element.
+    pub(crate) fn grad_mut(&self) -> RefMut<'_, [f32]> {
+        let n = self.numel();
+        RefMut::map(self.0.grad.borrow_mut(), |slot| {
+            let buf = slot.get_or_insert_with(|| vec![0.0; n]);
+            assert_eq!(buf.len(), n, "grad_mut: gradient buffer holds {} values for {n} elements", buf.len());
+            buf.as_mut_slice()
+        })
     }
 
     // ------------------------------------------------------------- backward
@@ -388,6 +410,31 @@ mod tests {
         assert_eq!(t.grad_vec().unwrap(), vec![1.5, 2.5]);
         t.zero_grad();
         assert!(t.grad_vec().is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "accumulate_grad: 3 values for 2 elements")]
+    fn accumulate_grad_rejects_a_wrong_length() {
+        let t = Tensor::zeros(&[2]).requires_grad();
+        t.accumulate_grad(&[1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "grad_mut: gradient buffer holds 3 values for 2 elements")]
+    fn grad_mut_rejects_a_wrong_length_buffer() {
+        let t = Tensor::zeros(&[2]).requires_grad();
+        *t.0.grad.borrow_mut() = Some(vec![0.0; 3]);
+        let _ = t.grad_mut();
+    }
+
+    #[test]
+    fn grad_mut_lends_a_zero_filled_buffer_and_grad_borrows_it() {
+        let t = Tensor::zeros(&[3]).requires_grad();
+        assert!(t.grad().is_none());
+        t.grad_mut()[1] += 2.5;
+        assert_eq!(t.grad_vec().unwrap(), vec![0.0, 2.5, 0.0]);
+        t.grad_mut()[1] += 0.5;
+        assert_eq!(&*t.grad().unwrap(), &[0.0, 3.0, 0.0]);
     }
 
     #[test]

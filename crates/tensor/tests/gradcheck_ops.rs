@@ -364,27 +364,35 @@ fn gc_max_over_time() {
     }
 }
 
-/// Smallest distance, over every (document, filter), from a kink of
-/// `conv_relu_max_pool`: a window's pre-activation crossing 0, or the
+/// Smallest distance, over every (document, branch, filter), from a kink
+/// of the TextCNN tower: a window's pre-activation crossing 0, or the
 /// winning window's lead over the runner-up. An EPS nudge of any one
-/// input moves a pre-activation by at most EPS (all inputs lie in
-/// [-1, 1]), so a margin above `2·EPS` keeps the loss smooth at every
-/// probe point.
-fn conv_kink_margin(x: &Tensor, w: &Tensor, bias: &Tensor, k: usize) -> f32 {
-    let (b, f) = (x.dims()[0], bias.numel());
-    let t = x.dims()[1] - k + 1;
-    let pre = {
+/// input moves a pre-activation by at most EPS times the number of
+/// positions one table row fills in a window (all inputs lie in [-1, 1]),
+/// so a margin above `2·EPS` times that count keeps the loss smooth at
+/// every probe point.
+fn tower_kink_margin(table: &Tensor, ids: &[usize], len: usize, branches: &[(&Tensor, &Tensor)]) -> f32 {
+    let (b, d) = (ids.len() / len, table.dims()[1]);
+    let x = {
         let _off = om_tensor::no_grad();
-        x.unfold_windows(k).matmul(w).add_row(bias).to_vec()
+        table.embedding_lookup(ids).reshape(&[b, len, d])
     };
     let mut margin = f32::INFINITY;
-    for bi in 0..b {
-        for fi in 0..f {
-            let mut col: Vec<f32> = (0..t).map(|ti| pre[(bi * t + ti) * f + fi]).collect();
-            margin = col.iter().fold(margin, |m, z| m.min(z.abs()));
-            col.sort_by(|a, b| b.total_cmp(a));
-            if t > 1 && col[0] > 0.0 {
-                margin = margin.min(col[0] - col[1].max(0.0));
+    for (w, bias) in branches {
+        let (k, f) = (w.dims()[0] / d, bias.numel());
+        let t = len - k + 1;
+        let pre = {
+            let _off = om_tensor::no_grad();
+            x.unfold_windows(k).matmul(w).add_row(bias).to_vec()
+        };
+        for bi in 0..b {
+            for fi in 0..f {
+                let mut col: Vec<f32> = (0..t).map(|ti| pre[(bi * t + ti) * f + fi]).collect();
+                margin = col.iter().fold(margin, |m, z| m.min(z.abs()));
+                col.sort_by(|a, b| b.total_cmp(a));
+                if t > 1 && col[0] > 0.0 {
+                    margin = margin.min(col[0] - col[1].max(0.0));
+                }
             }
         }
     }
@@ -392,23 +400,49 @@ fn conv_kink_margin(x: &Tensor, w: &Tensor, bias: &Tensor, k: usize) -> f32 {
 }
 
 #[test]
-fn gc_conv_relu_max_pool() {
-    // The fused TextCNN branch, checked against each of its three inputs.
-    for (b, l, d, k, f, seed) in [(1usize, 4usize, 2usize, 2usize, 3usize, 43u64), (3, 7, 3, 3, 4, 48)] {
-        let x = param(&[b, l, d], seed);
-        let w = param(&[k * d, f], seed + 100);
-        let bias = param(&[f], seed + 200);
-        let margin = conv_kink_margin(&x, &w, &bias, k);
-        assert!(margin > 2.0 * EPS, "seed {seed}: kink margin {margin} too small for EPS {EPS}");
-        check_both("conv_relu_max_pool d input", &x, |x| {
-            x.conv_relu_max_pool(&w, &bias, k).square().mean_all()
-        });
-        check_both("conv_relu_max_pool d weight", &w, |w| {
-            x.conv_relu_max_pool(w, &bias, k).square().mean_all()
-        });
-        check_both("conv_relu_max_pool d bias", &bias, |bias| {
-            x.conv_relu_max_pool(&w, bias, k).square().mean_all()
-        });
+fn gc_text_cnn() {
+    // The TextCNN tower, checked against the table and every weight and
+    // bias. The first two shapes are the fused branch's cases carried over
+    // (one branch over `[b, l, d]` as a `b·l`-row table with ids
+    // `0..b·l`); the third has two branches and repeated ids, so a table
+    // row's gradient sums several token rows.
+    // (documents, len, d, widths, filters, ids, seed)
+    let cases = [
+        (1usize, 4usize, 2usize, vec![2usize], 3usize, (0..4).collect::<Vec<usize>>(), 43u64),
+        (3, 7, 3, vec![3], 4, (0..21).collect(), 48),
+        (2, 5, 2, vec![2, 3], 3, vec![1, 0, 3, 1, 2, 2, 3, 0, 3, 4], 62),
+    ];
+    for (b, l, d, widths, f, ids, seed) in cases {
+        let vocab = ids.iter().max().unwrap() + 1;
+        assert_eq!(ids.len(), b * l);
+        let table = param(&[vocab, d], seed);
+        let ws: Vec<Tensor> = widths.iter().enumerate().map(|(i, &k)| param(&[k * d, f], seed + 100 + i as u64)).collect();
+        let bs: Vec<Tensor> = (0..widths.len()).map(|i| param(&[f], seed + 200 + i as u64)).collect();
+        let branches: Vec<(&Tensor, &Tensor)> = ws.iter().zip(&bs).collect();
+        // The most positions one id fills in any window of any branch.
+        let uses = ids
+            .chunks(l)
+            .flat_map(|doc| widths.iter().flat_map(move |&k| doc.windows(k)))
+            .flat_map(|win| win.iter().map(move |id| win.iter().filter(|&x| x == id).count()))
+            .max()
+            .unwrap();
+        let margin = tower_kink_margin(&table, &ids, l, &branches);
+        assert!(margin > 2.0 * EPS * uses as f32, "seed {seed}: kink margin {margin} too small for EPS {EPS}");
+        check_both("text_cnn d table", &table, |t| Tensor::text_cnn(t, &ids, l, &branches).square().mean_all());
+        for (i, w) in ws.iter().enumerate() {
+            check_both(&format!("text_cnn d weight {i}"), w, |w| {
+                let mut br = branches.clone();
+                br[i].0 = w;
+                Tensor::text_cnn(&table, &ids, l, &br).square().mean_all()
+            });
+        }
+        for (i, bias) in bs.iter().enumerate() {
+            check_both(&format!("text_cnn d bias {i}"), bias, |bias| {
+                let mut br = branches.clone();
+                br[i].1 = bias;
+                Tensor::text_cnn(&table, &ids, l, &br).square().mean_all()
+            });
+        }
     }
 }
 

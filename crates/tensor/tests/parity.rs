@@ -9,8 +9,9 @@
 //!   against their always-scalar `*_serial` twins. Under scalar dispatch
 //!   (`OM_SIMD=off`, or no AVX2) every comparison is bitwise. Under AVX2
 //!   dispatch, kernels whose vector port preserves the scalar operation
-//!   sequence per element (gemm, the fused conv branch, elementwise,
-//!   pair_rows, dequant) stay bitwise — their registered `ulp_tolerance`
+//!   sequence per element (gemm, the TextCNN tower and its backward, the
+//!   table-gradient scatter, Adadelta, elementwise, pair_rows, dequant)
+//!   stay bitwise — their registered `ulp_tolerance`
 //!   is 0 — while reordered reductions (`sum`) and the polynomial-exp
 //!   softmax row match within a measured, margin-padded ULP tolerance
 //!   ([`ULP_TOLERANCES`]). The effective tolerance is selected by
@@ -377,6 +378,19 @@ fn simd_relu_max_pool_rejects_short_outputs() {
 }
 
 #[test]
+#[should_panic(expected = "axpy: length mismatch")]
+fn simd_axpy_rejects_a_short_x() {
+    om_tensor::simd::axpy(2.0, &[1.0; 15], &mut [0.0; 16]);
+}
+
+#[test]
+#[should_panic(expected = "adadelta: length mismatch")]
+fn simd_adadelta_rejects_a_short_state() {
+    let h = kernels::AdadeltaHp { lr: 0.02, rho: 0.95, eps: 1e-6 };
+    om_tensor::simd::adadelta(&mut [0.0; 16], &[1.0; 16], &mut [0.0; 16], &mut [0.0; 15], h);
+}
+
+#[test]
 fn gemm_resumes_a_split_sum_bitwise() {
     // The resume contract the serving head relies on: `gemm` accumulates
     // into a non-zero `c` in `p` order, so splitting `k` at any point —
@@ -589,62 +603,172 @@ fn whole_graph_loss_is_thread_count_invariant_bitwise() {
     });
 }
 
+/// The inputs of one tower backward.
+struct TowerInputs<'a> {
+    table: &'a [f32],
+    w: &'a [&'a [f32]],
+    ids: &'a [usize],
+    winners: &'a [u32],
+    g: &'a [f32],
+    s: &'a kernels::TowerShape,
+}
+
+/// One tower backward, through the serial twin or the dispatched kernel,
+/// into fresh buffers — seeded with `prior`-scaled values first when
+/// given, as for a second call into buffers another op already filled:
+/// `d table, d w…, d bias…`, flattened.
+fn tower_backward(c: &TowerInputs<'_>, serial: bool, prior: Option<f32>) -> Vec<f32> {
+    let fill = |n: usize, salt: usize| -> Vec<f32> {
+        (0..n).map(|i| prior.map_or(0.0, |p| p * (((i * 7 + salt) % 13) as f32 - 6.0))).collect()
+    };
+    let mut dt = fill(c.table.len(), 1);
+    let mut dw: Vec<Vec<f32>> = c.w.iter().enumerate().map(|(b, w)| fill(w.len(), 2 + b)).collect();
+    let mut db: Vec<Vec<f32>> = (0..c.w.len()).map(|b| fill(c.s.filters, 5 + b)).collect();
+    let grads = kernels::TowerGrads {
+        table: Some(&mut dt),
+        weights: dw.iter_mut().map(|v| Some(v.as_mut_slice())).collect(),
+        biases: db.iter_mut().map(|v| Some(v.as_mut_slice())).collect(),
+    };
+    if serial {
+        kernels::text_cnn_backward_serial(c.table, c.w, c.ids, c.winners, c.g, c.s, grads);
+    } else {
+        kernels::text_cnn_backward(c.table, c.w, c.ids, c.winners, c.g, c.s, grads);
+    }
+    dt.into_iter().chain(dw.into_iter().flatten()).chain(db.into_iter().flatten()).collect()
+}
+
 #[test]
-fn conv_pool_kernels_match_serial_twins_bitwise() {
-    // The fused TextCNN branch: forward, input gradient and parameter
-    // gradients against their serial twins, at every thread setting.
-    // Shapes cover one window (t = 1), one document, filter counts on both
-    // sides of the pool scan's 8-lane vectors, and the paper's width-5
-    // branch; a zero (padding) document, a constant one (every window
-    // tied) and `-0.0` upstream gradients ride in every case.
-    for &(docs, len, dim, width, filters) in &[
-        (1usize, 3usize, 2usize, 3usize, 1usize),
-        (1, 9, 3, 2, 5),
-        (7, 11, 4, 3, 9),
-        (19, 20, 5, 5, 24),
-        (40, 48, 24, 5, 24),
+fn tower_kernels_match_serial_twins_bitwise() {
+    // The TextCNN tower: forward and backward against their serial twins,
+    // at every thread setting. Shapes cover one window (t = 1), one
+    // document, one branch and three, filter counts on both sides of the
+    // pool scan's 8-lane vectors, and the paper's tower; a zero (padding)
+    // document, a constant one (every window tied), ids repeated inside
+    // and across documents, and `-0.0` upstream gradients ride in every
+    // case. The backward runs into fresh buffers and into buffers that
+    // already hold values.
+    for &(docs, len, dim, ref widths, filters, vocab) in &[
+        (1usize, 3usize, 2usize, vec![3usize], 1usize, 3usize),
+        (1, 9, 3, vec![2], 5, 4),
+        (7, 11, 4, vec![3, 1], 9, 30),
+        (19, 20, 5, vec![5, 2, 4], 24, 50),
+        (40, 48, 24, vec![3, 4, 5], 24, 600),
+        (64, 48, 24, vec![3, 4, 5], 24, 4000),
     ] {
-        let s = kernels::ConvShape { docs, len, dim, width, filters };
+        let s = kernels::TowerShape { docs, len, dim, widths: widths.clone(), filters };
         let seed = (docs * 131 + len * 17 + filters) as u64;
-        let mut x = init::uniform(&[docs, len, dim], -1.0, 1.0, &mut seeded_rng(seed)).to_vec();
-        let doc = len * dim;
-        x[..doc].fill(0.0);
+        let table = init::uniform(&[vocab, dim], -1.0, 1.0, &mut seeded_rng(seed)).to_vec();
+        // Doc 0 is all padding (id 0), doc 2 one repeated id; the rest
+        // draw from the table with repeats.
+        let mut ids: Vec<usize> = (0..docs * len).map(|i| (i * 7919 + seed as usize) % vocab).collect();
+        ids[..len].fill(0);
         if docs > 2 {
-            x[2 * doc..3 * doc].fill(0.25);
+            ids[2 * len..3 * len].fill(vocab - 1);
         }
-        let w = init::uniform(&[width * dim, filters], -0.5, 0.5, &mut seeded_rng(seed + 1)).to_vec();
-        let bias = init::uniform(&[filters], -0.2, 0.2, &mut seeded_rng(seed + 2)).to_vec();
-        let mut g = init::uniform(&[docs, filters], -1.0, 1.0, &mut seeded_rng(seed + 3)).to_vec();
+        let w: Vec<Vec<f32>> = widths
+            .iter()
+            .enumerate()
+            .map(|(b, &k)| init::uniform(&[k * dim, filters], -0.5, 0.5, &mut seeded_rng(seed + 1 + b as u64)).to_vec())
+            .collect();
+        let bias: Vec<Vec<f32>> = (0..widths.len())
+            .map(|b| init::uniform(&[filters], -0.2, 0.2, &mut seeded_rng(seed + 10 + b as u64)).to_vec())
+            .collect();
+        let (w, bias): (Vec<&[f32]>, Vec<&[f32]>) = (w.iter().map(Vec::as_slice).collect(), bias.iter().map(Vec::as_slice).collect());
+        let cols = s.cols();
+        let mut g = init::uniform(&[docs, cols], -1.0, 1.0, &mut seeded_rng(seed + 3)).to_vec();
         for v in g.iter_mut().step_by(3) {
             *v = -0.0;
         }
 
-        let (pooled, winners) = kernels::conv_relu_max_pool_serial(&x, &w, &bias, s);
-        let (fast_pooled, fast_winners) = kernels::conv_relu_max_pool(&x, &w, &bias, s);
-        assert_eq!(bits(&pooled), bits(&fast_pooled), "conv_relu_max_pool {s:?} vs serial twin");
-        assert_eq!(winners, fast_winners, "conv_relu_max_pool {s:?} winners vs serial twin");
-        assert_parity(&format!("conv_relu_max_pool {s:?}"), || {
-            let (p, win) = kernels::conv_relu_max_pool(&x, &w, &bias, s);
+        let (pooled, winners) = kernels::text_cnn_serial(&table, &ids, &w, &bias, &s);
+        let (fast_pooled, fast_winners) = kernels::text_cnn(&table, &ids, &w, &bias, &s);
+        assert_eq!(bits(&pooled), bits(&fast_pooled), "text_cnn {s:?} vs serial twin");
+        assert_eq!(winners, fast_winners, "text_cnn {s:?} winners vs serial twin");
+        assert_parity(&format!("text_cnn {s:?}"), || {
+            let (p, win) = kernels::text_cnn(&table, &ids, &w, &bias, &s);
             p.into_iter().chain(win.into_iter().map(f32::from_bits)).collect()
         });
 
-        let dx = kernels::conv_pool_input_grad_serial(&w, &winners, &g, s);
-        assert_eq!(bits(&dx), bits(&kernels::conv_pool_input_grad(&w, &winners, &g, s)), "conv_pool_input_grad {s:?}");
-        assert_parity(&format!("conv_pool_input_grad {s:?}"), || {
-            kernels::conv_pool_input_grad(&w, &winners, &g, s)
-        });
-
-        let (dw, dbias) = kernels::conv_pool_param_grads_serial(&x, &winners, &g, s);
-        let (fast_dw, fast_dbias) = kernels::conv_pool_param_grads(&x, &winners, &g, s);
-        assert_eq!(bits(&dw), bits(&fast_dw), "conv_pool_param_grads {s:?} weight");
-        assert_eq!(bits(&dbias), bits(&fast_dbias), "conv_pool_param_grads {s:?} bias");
-        assert_parity(&format!("conv_pool_param_grads {s:?}"), || {
-            let (dw, dbias) = kernels::conv_pool_param_grads(&x, &winners, &g, s);
-            dw.into_iter().chain(dbias).collect()
-        });
+        let inputs = TowerInputs { table: &table, w: &w, ids: &ids, winners: &winners, g: &g, s: &s };
+        for prior in [None, Some(0.25)] {
+            let serial = tower_backward(&inputs, true, prior);
+            let fast = tower_backward(&inputs, false, prior);
+            assert_eq!(bits(&serial), bits(&fast), "text_cnn_backward {s:?} (prior {prior:?}) vs serial twin");
+            assert_parity(&format!("text_cnn_backward {s:?} (prior {prior:?})"), || {
+                tower_backward(&inputs, false, prior)
+            });
+        }
     }
-    // The forward runs the GEMM micro-kernel unchanged: bitwise in every mode.
-    assert_eq!(ulp_tolerance("conv_relu_max_pool"), 0, "conv_relu_max_pool keeps gemm's p-order — always bitwise");
+    // The forward runs the GEMM micro-kernel unchanged and the backward
+    // lanewise row updates: bitwise in every mode.
+    assert_eq!(ulp_tolerance("text_cnn"), 0, "text_cnn keeps gemm's p-order — always bitwise");
+    assert_eq!(ulp_tolerance("text_cnn_backward"), 0, "text_cnn_backward is lanewise — always bitwise");
+}
+
+#[test]
+fn scatter_add_rows_matches_serial_twin_and_the_dense_scatter_bitwise() {
+    // Row widths on both sides of the 8-lane vectors; ids repeated, and
+    // into a gradient that already holds values.
+    assert_eq!(ulp_tolerance("scatter_add_rows"), 0, "scatter_add_rows is lanewise — always bitwise");
+    for &(vocab, dim, n) in &[(1usize, 1usize, 5usize), (6, 7, 9), (40, 24, 3072), (4000, 24, 3072), (13, 33, 200)] {
+        let ids: Vec<usize> = (0..n).map(|i| (i * i * 31 + 7) % vocab).collect();
+        let mut rows = init::uniform(&[n, dim], -1.0, 1.0, &mut seeded_rng(n as u64)).to_vec();
+        for v in rows.iter_mut().step_by(5) {
+            *v = -0.0;
+        }
+        let prior = init::uniform(&[vocab, dim], -1.0, 1.0, &mut seeded_rng(vocab as u64)).to_vec();
+        let mut dense = vec![0.0f32; vocab * dim];
+        for (row, &id) in rows.chunks(dim).zip(&ids) {
+            for (o, &v) in dense[id * dim..(id + 1) * dim].iter_mut().zip(row) {
+                *o += v;
+            }
+        }
+        let want: Vec<f32> = prior.iter().zip(&dense).map(|(p, s)| p + s).collect();
+        let mut serial = prior.clone();
+        kernels::scatter_add_rows_serial(&ids, &rows, dim, &mut serial);
+        assert_eq!(bits(&serial), bits(&want), "scatter_add_rows_serial {vocab}x{dim} vs dense scatter");
+        assert_parity(&format!("scatter_add_rows {vocab}x{dim}"), || {
+            let mut grad = prior.clone();
+            kernels::scatter_add_rows(&ids, &rows, dim, &mut grad);
+            grad
+        });
+        let mut fast = prior.clone();
+        kernels::scatter_add_rows(&ids, &rows, dim, &mut fast);
+        assert_eq!(bits(&serial), bits(&fast), "scatter_add_rows {vocab}x{dim} vs serial twin");
+    }
+}
+
+#[test]
+fn adadelta_update_matches_serial_twin_bitwise() {
+    // Lengths on both sides of the 8-lane vectors; gradients spanning
+    // zero, tiny and large magnitudes; several steps, so the running
+    // averages are non-trivial.
+    assert_eq!(ulp_tolerance("adadelta_update"), 0, "adadelta_update is lanewise — always bitwise");
+    let h = kernels::AdadeltaHp { lr: 0.02, rho: 0.95, eps: 1e-6 };
+    for n in [1usize, 7, 8, 9, 96_000 + 5] {
+        let p0 = init::uniform(&[n], -1.0, 1.0, &mut seeded_rng(n as u64)).to_vec();
+        let run = |serial: bool| {
+            let (mut p, mut sq, mut acc) = (p0.clone(), vec![0.0f32; n], vec![0.0f32; n]);
+            for step in 0..3u64 {
+                let mut g = init::uniform(&[n], -3.0, 3.0, &mut seeded_rng(step * 1000 + n as u64)).to_vec();
+                for (i, v) in g.iter_mut().enumerate() {
+                    match i % 5 {
+                        0 => *v = 0.0,
+                        1 => *v *= 1e-20,
+                        2 => *v = -0.0,
+                        _ => {}
+                    }
+                }
+                if serial {
+                    kernels::adadelta_update_serial(&mut p, &g, &mut sq, &mut acc, h);
+                } else {
+                    kernels::adadelta_update(&mut p, &g, &mut sq, &mut acc, h);
+                }
+            }
+            (bits(&p), bits(&sq), bits(&acc))
+        };
+        assert_eq!(run(false), run(true), "adadelta_update len {n}");
+    }
 }
 
 #[test]
@@ -766,16 +890,19 @@ fn dequant_rows_matches_serial_twin_bitwise() {
 /// `(kernel, max ULP distance vs the serial twin under AVX2 dispatch)` for
 /// every simd-marked kernel, alphabetical.
 const ULP_TOLERANCES: &[(&str, u32)] = &[
+    ("adadelta_update", 0),
     ("add_slices", 0),
-    ("conv_relu_max_pool", 0),
     ("dequant_rows", 0),
     ("gemm", 0),
     ("log_softmax_rows", 1024), // measured worst 256 (wide-range rows)
     ("mul_slices", 0),
     ("pair_rows", 0),
     ("scale_slice", 0),
+    ("scatter_add_rows", 0),
     ("sub_slices", 0),
     ("sum", 512), // measured worst 99 (cancellation-heavy chunks)
+    ("text_cnn", 0),
+    ("text_cnn_backward", 0),
 ];
 
 /// Look up a registered tolerance; unregistered names are a test bug (and
