@@ -9,9 +9,9 @@
 //! filter)'s winning window. Its backward touches those windows and the
 //! table rows the ids name, adding straight into the parameters'
 //! gradients. It is bitwise the composed embedding gather → unfold (im2col)
-//! → GEMM → bias → ReLU → pooling → concat chain, and like those kernels it
-//! runs on `om_tensor`'s worker pool (see `om_tensor::runtime`), so the
-//! extractor scales with cores while staying bitwise deterministic.
+//! → GEMM → bias → ReLU → pooling → concat chain at any thread count. The
+//! forward splits documents across `om_tensor`'s worker pool (see
+//! `om_tensor::runtime`); the backward runs on the calling thread.
 
 use om_tensor::{init, Rng, Tensor};
 

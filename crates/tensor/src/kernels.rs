@@ -852,6 +852,17 @@ fn check_scatter(ids: &[usize], rows: &[f32], dim: usize, grad: &[f32]) {
     assert!(grad.len().is_multiple_of(dim), "scatter_add_rows: grad is not [table rows, dim]");
     let n = grad.len() / dim;
     assert!(ids.iter().all(|&id| id < n), "scatter_add_rows: an id is outside the table's {n} rows");
+    debug_assert_no_negative_zero(grad, "scatter_add_rows");
+}
+
+/// The touched-rows table gradient's precondition: the dense scatter adds
+/// `+0.0` to a row no id names, which turns a `-0.0` there into `+0.0`;
+/// skipping the row keeps it. Debug builds assert `grad` holds none.
+fn debug_assert_no_negative_zero(grad: &[f32], op: &str) {
+    debug_assert!(
+        grad.iter().all(|v| v.to_bits() != (-0.0f32).to_bits()),
+        "{op}: the table gradient holds -0.0, which the dense scatter would turn into +0.0"
+    );
 }
 
 /// Table gradient of a row gather (`embedding_lookup`'s backward): `rows
@@ -863,6 +874,7 @@ fn check_scatter(ids: &[usize], rows: &[f32], dim: usize, grad: &[f32]) {
 /// Bitwise the dense scatter — such a buffer of those sums, added in full
 /// — whenever `grad` holds no `-0.0`: the dense scatter only adds `+0.0` to
 /// an untouched row, and a sum that starts at `+0.0` is never `-0.0`.
+/// Debug builds assert the precondition.
 // om-lint: simd — lanewise row adds; tolerance registered in
 // tests/parity.rs (ulp_tolerance("scatter_add_rows") = 0, bitwise).
 pub fn scatter_add_rows(ids: &[usize], rows: &[f32], dim: usize, grad: &mut [f32]) {
@@ -1007,19 +1019,15 @@ fn tower_param_grads(table: &[f32], tape: &TowerTape<'_>, dws: &mut [Option<&mut
     }
 }
 
-/// One backward job of a tower: the table's gradient, or every branch's
-/// filter and bias gradients.
-enum TowerJob<'a> {
-    Table(&'a mut [f32]),
-    Params(Vec<Option<&'a mut [f32]>>, Vec<Option<&'a mut [f32]>>),
-}
-
 fn check_backward(table: usize, weights: &[&[f32]], ids: &[usize], winners: &[u32], g: &[f32], s: &TowerShape, grads: &TowerGrads<'_>) {
     s.check(table, ids, weights);
     let n = s.docs * s.cols();
     assert_eq!(winners.len(), n, "text_cnn: winners are not [docs, branches·filters]");
     assert_eq!(g.len(), n, "text_cnn: upstream gradient is not [docs, branches·filters]");
     assert!(grads.table.as_ref().is_none_or(|t| t.len() == table), "text_cnn: table gradient is not [vocab, dim]");
+    if let Some(t) = &grads.table {
+        debug_assert_no_negative_zero(t, "text_cnn_backward");
+    }
     assert_eq!(grads.weights.len(), s.widths.len(), "text_cnn: need one weight gradient slot per branch");
     for (dw, w) in grads.weights.iter().zip(weights) {
         assert!(dw.as_ref().is_none_or(|dw| dw.len() == w.len()), "text_cnn: a weight gradient is not [width·dim, filters]");
@@ -1028,13 +1036,16 @@ fn check_backward(table: usize, weights: &[&[f32]], ids: &[usize], winners: &[u3
     assert!(grads.biases.iter().flatten().all(|db| db.len() == s.filters), "text_cnn: a bias gradient is not [filters]");
 }
 
-/// The jobs a backward has work for: the table's gradient when it takes
-/// one, and the filter and bias gradients when any of them is wanted.
-fn tower_jobs(grads: TowerGrads<'_>) -> Vec<TowerJob<'_>> {
-    let TowerGrads { table, weights, biases } = grads;
-    let params = weights.iter().chain(&biases).any(Option::is_some);
-    let params = params.then_some(TowerJob::Params(weights, biases));
-    table.map(TowerJob::Table).into_iter().chain(params).collect()
+/// The table's gradient when it takes one, then the filter and bias
+/// gradients when any of them is wanted; the two write disjoint buffers.
+fn tower_backward(table: &[f32], weights: &[&[f32]], tape: &TowerTape<'_>, grads: TowerGrads<'_>, axpy: Axpy) {
+    let TowerGrads { table: dt, weights: mut dws, biases: mut dbs } = grads;
+    if let Some(dt) = dt {
+        tower_table_grad(weights, tape, dt, axpy);
+    }
+    if dws.iter().chain(&dbs).any(Option::is_some) {
+        tower_param_grads(table, tape, &mut dws, &mut dbs, axpy);
+    }
 }
 
 /// One TextCNN tower, backward: adds into `grads` the gradients of the
@@ -1045,10 +1056,12 @@ fn tower_jobs(grads: TowerGrads<'_>) -> Vec<TowerJob<'_>> {
 /// and `Xᵀ·g` through [`gemm`], the unfold scatter in window order, the
 /// three branches' `d(x)` added in reverse branch order, and the dense
 /// table scatter — whose other terms are exact `+0.0`s added to sums that
-/// start at `+0.0`, given `grads` holds no `-0.0` (see
-/// [`scatter_add_rows`]). Only winning windows and named table rows are
-/// touched. The table gradient and the filter gradients run as two tasks
-/// on the pool; each writes only its own buffers, in a fixed order.
+/// start at `+0.0`, given the table's gradient holds no `-0.0` (see
+/// [`scatter_add_rows`]; debug builds assert it). Only winning windows and
+/// named table rows are touched. It runs on the calling thread: splitting
+/// the table gradient from the filter gradients as two pool tasks read no
+/// faster at two threads, in the tower's own backward or in a training
+/// epoch.
 // om-lint: simd — lanewise row axpys; tolerance registered in
 // tests/parity.rs (ulp_tolerance("text_cnn_backward") = 0, bitwise).
 pub fn text_cnn_backward(
@@ -1061,22 +1074,11 @@ pub fn text_cnn_backward(
     grads: TowerGrads<'_>,
 ) {
     check_backward(table.len(), weights, ids, winners, g, s, &grads);
-    let tape = TowerTape { ids, winners, g, s };
-    let mut jobs = tower_jobs(grads);
-    let cost = s.docs * s.filters * s.widths.iter().sum::<usize>() * s.dim;
-    let grain = if cost < GEMM_PAR_FLOPS { jobs.len() } else { 1 };
-    runtime::parallel_rows_mut(&mut jobs, 1, grain, |_, block| {
-        for job in block {
-            match job {
-                TowerJob::Table(grad) => tower_table_grad(weights, &tape, grad, axpy),
-                TowerJob::Params(dws, dbs) => tower_param_grads(table, &tape, dws, dbs, axpy),
-            }
-        }
-    });
+    tower_backward(table, weights, &TowerTape { ids, winners, g, s }, grads, axpy);
 }
 
-/// Serial twin of [`text_cnn_backward`] — both jobs in turn on one
-/// thread, with scalar row loops.
+/// Serial twin of [`text_cnn_backward`] — the same loops, with scalar row
+/// updates.
 pub fn text_cnn_backward_serial(
     table: &[f32],
     weights: &[&[f32]],
@@ -1087,13 +1089,7 @@ pub fn text_cnn_backward_serial(
     grads: TowerGrads<'_>,
 ) {
     check_backward(table.len(), weights, ids, winners, g, s, &grads);
-    let tape = TowerTape { ids, winners, g, s };
-    for job in tower_jobs(grads) {
-        match job {
-            TowerJob::Table(grad) => tower_table_grad(weights, &tape, grad, axpy_scalar),
-            TowerJob::Params(mut dws, mut dbs) => tower_param_grads(table, &tape, &mut dws, &mut dbs, axpy_scalar),
-        }
-    }
+    tower_backward(table, weights, &TowerTape { ids, winners, g, s }, grads, axpy_scalar);
 }
 
 // ---------------------------------------------------------------------------

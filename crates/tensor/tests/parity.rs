@@ -279,6 +279,32 @@ fn gemm_rejects_negative_zero_in_c() {
     kernels::gemm(&a, &[1.0; 24], &mut c, m, k, n);
 }
 
+/// `-0.0` in a table gradient is outside the touched-rows scatter's
+/// contract: the dense scatter turns it into `+0.0` in a row no id names,
+/// the touched-rows one leaves it. Debug builds assert it.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "scatter_add_rows: the table gradient holds -0.0")]
+fn scatter_add_rows_rejects_negative_zero_in_grad() {
+    let mut grad = vec![0.0f32; 3 * 2];
+    grad[5] = -0.0;
+    kernels::scatter_add_rows(&[0], &[1.0, 2.0], 2, &mut grad);
+}
+
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "text_cnn_backward: the table gradient holds -0.0")]
+fn text_cnn_backward_rejects_negative_zero_in_table_grad() {
+    let s = kernels::TowerShape { docs: 1, len: 3, dim: 2, widths: vec![2], filters: 1 };
+    let (table, w, bias) = ([1.0f32, 0.5, -0.25, 2.0, 0.0, 0.0], [1.0f32, 0.5, 0.25, 1.0], [0.1f32]);
+    let ids = [0usize, 1, 0];
+    let (_, winners) = kernels::text_cnn(&table, &ids, &[&w[..]], &[&bias[..]], &s);
+    let mut dt = vec![0.0f32; table.len()];
+    dt[5] = -0.0;
+    let grads = kernels::TowerGrads { table: Some(&mut dt), weights: vec![None], biases: vec![None] };
+    kernels::text_cnn_backward(&table, &[&w[..]], &ids, &winners, &[1.0], &s, grads);
+}
+
 // ---------------------------------------------------------------------------
 // Bounds at the safe entry points. Each length an `unsafe` body relies on
 // is asserted before the dispatch check, so every case below panics under
@@ -657,9 +683,10 @@ fn tower_kernels_match_serial_twins_bitwise() {
     ] {
         let s = kernels::TowerShape { docs, len, dim, widths: widths.clone(), filters };
         let seed = (docs * 131 + len * 17 + filters) as u64;
-        let table = init::uniform(&[vocab, dim], -1.0, 1.0, &mut seeded_rng(seed)).to_vec();
-        // Doc 0 is all padding (id 0), doc 2 one repeated id; the rest
-        // draw from the table with repeats.
+        let mut table = init::uniform(&[vocab, dim], -1.0, 1.0, &mut seeded_rng(seed)).to_vec();
+        table[..dim].fill(0.0);
+        // Doc 0 is all padding (id 0, a zero row), doc 2 one repeated id;
+        // the rest draw from the table with repeats.
         let mut ids: Vec<usize> = (0..docs * len).map(|i| (i * 7919 + seed as usize) % vocab).collect();
         ids[..len].fill(0);
         if docs > 2 {
