@@ -19,9 +19,9 @@
 //! contrastive projections) and the gradient-reversal primitive used by
 //! domain adversarial training.
 //!
-//! Heavy kernels (GEMM, the TextCNN tower, elementwise maps, row-wise
-//! softmax/normalisation, reductions, unfold) execute on a global thread
-//! pool — see [`runtime`] for configuration (`OM_THREADS`) and [`kernels`]
+//! Heavy kernels (GEMM, the TextCNN tower's forward, elementwise maps,
+//! row-wise softmax/normalisation, reductions, unfold) execute on a global
+//! thread pool — see [`runtime`] for configuration (`OM_THREADS`) and [`kernels`]
 //! for the determinism contract: results are bitwise identical at every
 //! thread count.
 //!
