@@ -1,5 +1,5 @@
 //! Machine-readable benchmark emitter: times kernels, nn layers, losses,
-//! Algorithm 1, training and the baselines with plain `Instant` loops and
+//! Algorithm 1, training and the baselines with plain `om_obs::clock` loops and
 //! writes `BENCH_kernels.json` (kernel and nn-level rows) and
 //! `BENCH_train.json` (model and baseline rows) with median/p95/mean per
 //! row.
@@ -18,7 +18,6 @@
 
 use std::collections::BTreeMap;
 use std::hint::black_box;
-use std::time::Instant;
 
 use om_baselines::graph::{BipartiteGraph, GraphCF, Propagation};
 use om_baselines::mf::{MatrixFactorization, MfConfig};
@@ -28,6 +27,7 @@ use om_bench::replay::summarize;
 use om_data::types::{Interaction, TextField};
 use om_data::{CrossDomainScenario, Domain, SplitConfig, SynthConfig, SynthWorld};
 use om_nn::{supcon_loss, HasParams, TextCnn, TransformerEncoder};
+use om_obs::clock::now_ns;
 use om_obs::json::Json;
 use om_tensor::{init, kernels, seeded_rng, Tensor};
 use rand::RngExt as _;
@@ -41,9 +41,9 @@ fn time_ms(warmup: usize, iters: usize, mut f: impl FnMut()) -> Vec<f64> {
     }
     let mut out = Vec::with_capacity(iters);
     for _ in 0..iters {
-        let t0 = Instant::now();
+        let t0 = now_ns();
         f();
-        out.push(t0.elapsed().as_secs_f64() * 1e3);
+        out.push((now_ns() - t0) as f64 / 1e6);
     }
     out
 }

@@ -26,7 +26,6 @@
 //!     [--queue-cap N] [--inflight W] [--out DIR]
 
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 use om_bench::bench_scenario;
 use om_bench::replay::{
@@ -34,6 +33,7 @@ use om_bench::replay::{
 };
 use om_data::types::UserId;
 use om_data::ArenaPreset;
+use om_obs::clock::now_ns;
 use om_obs::json::Json;
 use om_serve::{
     load_model, Frontend, FrontendOptions, ItemArena, Request, ServeEngine, ServeOptions,
@@ -147,27 +147,27 @@ fn main() {
         "load_bench: preset '{}' — {} users × {} items",
         preset.name, preset.users, preset.items
     );
-    let t0 = Instant::now();
+    let t0 = now_ns();
     let items = ItemArena::from_raw(preset.item_ids(), preset.item_rows(item_dim), item_dim);
     let users = UserArena::from_raw(preset.user_ids(), preset.user_rows(user_dim), user_dim);
-    let synth_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let synth_ms = (now_ns() - t0) as f64 / 1e6;
 
     let blob_dir = f.out.join("arenas");
     std::fs::create_dir_all(&blob_dir).expect("create arena blob dir");
     let item_path = blob_dir.join(format!("{}-items.omab", preset.name));
     let user_path = blob_dir.join(format!("{}-users.omab", preset.name));
-    let t0 = Instant::now();
+    let t0 = now_ns();
     items.write_blob(&item_path).expect("write item blob");
     users.write_blob(&user_path).expect("write user blob");
-    let blob_write_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let blob_write_ms = (now_ns() - t0) as f64 / 1e6;
     drop((items, users));
 
     // Server cold start: map the blobs back under Quick verification —
     // O(pages touched), the regime the mmap layer exists for.
-    let t0 = Instant::now();
+    let t0 = now_ns();
     let items = ItemArena::load_blob(&item_path, Verify::Quick).expect("map item blob");
     let users = UserArena::load_blob(&user_path, Verify::Quick).expect("map user blob");
-    let cold_start_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let cold_start_ms = (now_ns() - t0) as f64 / 1e6;
     println!(
         "load_bench: arenas synth {synth_ms:.0} ms, write {blob_write_ms:.0} ms, \
          map {cold_start_ms:.2} ms"
@@ -222,8 +222,7 @@ fn main() {
         let opts = f.opts.clone();
         let (cfg2, item_path2, user_path2) = (cfg.clone(), item_path.clone(), user_path.clone());
         let (tx, rx) = std::sync::mpsc::channel();
-        // om-lint: allow(thread-spawn) — the closed loop measures the real
-        // front-end consumer thread; that is the subject under test.
+        // The closed loop measures the real front-end consumer thread.
         let fe = Frontend::spawn(
             move || {
                 let model =
@@ -250,16 +249,16 @@ fn main() {
             .expect("warmup submit");
         let warm = rx.recv().expect("warmup response");
         assert_eq!(warm.id, u64::MAX);
-        let mut sent_at: Vec<Option<Instant>> = vec![None; n];
+        let mut sent_at: Vec<Option<u64>> = vec![None; n];
         let mut closed_lat_ms: Vec<f64> = Vec::with_capacity(n);
         let (mut sent, mut done) = (0usize, 0usize);
-        let t0 = Instant::now();
+        let t0 = now_ns();
         while done < n {
             while sent < n && sent - done < f.inflight {
                 let req = Request { id: sent as u64, user: trace[sent].user, arrive_us: 0 };
                 match handle.try_send(req) {
                     Ok(()) => {
-                        sent_at[sent] = Some(Instant::now());
+                        sent_at[sent] = Some(now_ns());
                         sent += 1;
                     }
                     Err(om_serve::SubmitError::QueueFull { .. }) => break,
@@ -268,10 +267,10 @@ fn main() {
             }
             let resp = rx.recv().expect("front-end dropped a response");
             let t_sent = sent_at[resp.id as usize].expect("response for unsent request");
-            closed_lat_ms.push(t_sent.elapsed().as_secs_f64() * 1e3);
+            closed_lat_ms.push((now_ns() - t_sent) as f64 / 1e6);
             done += 1;
         }
-        let wall_s = t0.elapsed().as_secs_f64();
+        let wall_s = (now_ns() - t0) as f64 / 1e9;
         let stats = fe.shutdown().expect("front-end worker panicked");
         // +1 for the warmup request.
         assert_eq!(stats.served, n as u64 + 1, "closed loop dropped requests");

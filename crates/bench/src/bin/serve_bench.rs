@@ -12,10 +12,10 @@
 //! Usage: `cargo run --release -p om-bench --bin serve_bench [out_dir]`.
 
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 use om_bench::bench_scenario;
 use om_bench::replay::{build_trace, percentile, replay_trace, sorted, summarize, Arrival};
+use om_obs::clock::now_ns;
 use om_obs::json::Json;
 use om_serve::{ServeEngine, ServeOptions};
 use omnimatch_core::{OmniMatchConfig, Trainer};
@@ -43,10 +43,10 @@ fn main() {
     let (model, views, _) = trained.into_parts();
     let users = views.users().to_vec();
 
-    let t0 = Instant::now();
+    let t0 = now_ns();
     let opts = ServeOptions::from_env().expect("serve env misconfigured");
     let engine = ServeEngine::new(model, views, &warm, opts.clone());
-    let arena_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let arena_ms = (now_ns() - t0) as f64 / 1e6;
 
     // ---- trace + replay --------------------------------------------------
     let trace = build_trace(REQUESTS, Arrival::Jittered { mean_gap_us: MEAN_GAP_US }, |h| {

@@ -10,15 +10,16 @@
 //! The replay is *open-loop* and virtually clocked: arrivals follow the
 //! trace's deterministic timestamps (they never wait for responses), the
 //! microbatcher's deadlines are evaluated against that virtual clock, and
-//! only the compute inside each flush is measured with `Instant`. A
-//! request's reported latency is its virtual queue wait plus the real
-//! compute time of the flush that scored it. This keeps the batching
-//! pattern bit-reproducible run to run while the timings stay honest.
+//! only the compute inside each flush is measured with
+//! `om_obs::clock::now_ns`. A request's reported latency is its virtual
+//! queue wait plus the real compute time of the flush that scored it.
+//! This keeps the batching pattern bit-reproducible run to run while the
+//! timings stay honest.
 
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 use om_data::types::UserId;
+use om_obs::clock::now_ns;
 use om_obs::json::Json;
 use om_serve::{BatchScorer, Microbatcher, Request};
 
@@ -121,9 +122,9 @@ pub fn replay_trace<S: BatchScorer>(
         let mut batcher: Microbatcher<Request> = Microbatcher::new(batch, wait_us);
         let mut served = 0usize;
         let mut flush = |reqs: Vec<Request>, virtual_now: u64| {
-            let t = Instant::now();
+            let t = now_ns();
             let responses = scorer.serve_batch(&reqs).expect("replay scorer failed");
-            let dt = t.elapsed().as_secs_f64();
+            let dt = (now_ns() - t) as f64 / 1e9;
             served += responses.len();
             if warmup {
                 return;

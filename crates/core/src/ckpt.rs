@@ -265,7 +265,6 @@ fn checkpoint_path(dir: &Path, epoch: usize) -> PathBuf {
 /// Persist one epoch-boundary snapshot atomically. Failures are reported
 /// (not fatal): training without a checkpoint is strictly better than no
 /// training at all.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn save(
     ck: &CkptConfig,
     digest: u64,

@@ -4,6 +4,8 @@
 //! 1. `user → [(item, rating, review), …]` — a user's purchase records;
 //! 2. `(item, rating) → [users …]` — who gave this item this exact rating.
 
+#![expect(clippy::disallowed_types, reason = "§4.1's O(1) dictionaries; every key listing is sorted before it is returned")]
+
 use std::collections::{HashMap, HashSet};
 
 use crate::types::{Interaction, ItemId, Rating, UserId};

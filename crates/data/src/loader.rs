@@ -10,8 +10,6 @@
 //!   allowlist (see DESIGN.md).
 //! * **TSV** — `user \t item \t rating \t summary [\t full_text]`.
 
-use std::collections::HashMap;
-
 use crate::domain::Domain;
 use crate::types::{Interaction, ItemId, Rating, UserId};
 
@@ -38,8 +36,9 @@ impl std::error::Error for LoadError {}
 /// Interns external string ids (e.g. `reviewerID` / `asin`) into dense
 /// numeric ids, shared across domains so user overlap is preserved.
 #[derive(Debug, Default, Clone)]
+#[expect(clippy::disallowed_types, reason = "lookup only; dense ids follow first-seen order, never the map's")]
 pub struct IdInterner {
-    map: HashMap<String, u32>,
+    map: std::collections::HashMap<String, u32>,
 }
 
 impl IdInterner {

@@ -7,8 +7,6 @@
 //!   and test;
 //! * optionally subsample the training users (Table 4's 100/80/50/20%).
 
-use std::collections::HashSet;
-
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
@@ -58,6 +56,7 @@ pub struct CrossDomainScenario {
 
 impl CrossDomainScenario {
     /// Build the scenario from two raw domains.
+    #[expect(clippy::disallowed_types, reason = "membership tests only, never iterated")]
     pub fn build(source: &Domain, target: &Domain, cfg: SplitConfig) -> CrossDomainScenario {
         assert!(
             (0.0..=1.0).contains(&cfg.train_ratio),
@@ -93,13 +92,13 @@ impl CrossDomainScenario {
         let mut test_users = test.to_vec();
         test_users.sort_unstable();
 
-        let scenario_users: HashSet<UserId> = train_users
+        let scenario_users: std::collections::HashSet<UserId> = train_users
             .iter()
             .chain(&valid_users)
             .chain(&test_users)
             .copied()
             .collect();
-        let train_set: HashSet<UserId> = train_users.iter().copied().collect();
+        let train_set: std::collections::HashSet<UserId> = train_users.iter().copied().collect();
 
         CrossDomainScenario {
             source: source.filter_users(|u| scenario_users.contains(&u)),
@@ -119,8 +118,9 @@ impl CrossDomainScenario {
 
     /// Ground-truth target-domain interactions of the given users — the
     /// evaluation pairs `(u, i, y_{u,i})` of Eqs. 22–23.
+    #[expect(clippy::disallowed_types, reason = "membership test only, never iterated")]
     pub fn eval_pairs(&self, users: &[UserId]) -> Vec<&Interaction> {
-        let set: HashSet<UserId> = users.iter().copied().collect();
+        let set: std::collections::HashSet<UserId> = users.iter().copied().collect();
         self.target_full
             .interactions()
             .iter()

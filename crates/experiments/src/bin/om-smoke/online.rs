@@ -135,7 +135,6 @@ pub fn run() {
     let fopts = FrontendOptions::from_serve(&opts).expect("frontend options");
     let (resp_tx, resp_rx) = std::sync::mpsc::channel();
     let factory = ckpt.clone();
-    // om-lint: allow(thread-spawn) — the threaded front-end under test.
     let frontend = Frontend::spawn(move || factory.engine(opts), fopts, resp_tx)
         .expect("spawn front-end");
     let handle = frontend.handle();

@@ -27,7 +27,7 @@
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::mpsc::channel;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use om_data::UserId;
 use om_obs::http::StatsServer;
@@ -85,9 +85,8 @@ fn get(addr: SocketAddr, path: &str) -> (String, String) {
 fn frontend_scrape(ckpt: &Checkpoint, users: &[UserId]) -> [String; 3] {
     let (resp_tx, resp_rx) = channel();
     let factory = ckpt.clone();
-    // om-lint: allow(thread-spawn) — the front-end consumer thread is the
-    // serving shape under smoke; the factory reloads the checkpoint there
-    // (the real deployment path — engines are built on the worker).
+    // The factory reloads the checkpoint on the front-end's consumer
+    // thread (the real deployment path — engines are built on the worker).
     let fe = Frontend::spawn(
         move || factory.engine(ServeOptions::default()),
         FrontendOptions { queue_cap: 256, batch: 8, wait_us: 200 },
@@ -97,8 +96,8 @@ fn frontend_scrape(ckpt: &Checkpoint, users: &[UserId]) -> [String; 3] {
     fe.register_health();
 
     let server = StatsServer::spawn_from_env().unwrap_or_else(|| {
-        // om-lint: allow(thread-spawn) — no OM_OBS_ADDR: the smoke still
-        // needs an endpoint, so bind an ephemeral loopback port.
+        // No OM_OBS_ADDR: the smoke still needs an endpoint, so bind an
+        // ephemeral loopback port.
         StatsServer::spawn("127.0.0.1:0").expect("bind loopback stats endpoint")
     });
     let addr = server.local_addr();
@@ -118,12 +117,11 @@ fn frontend_scrape(ckpt: &Checkpoint, users: &[UserId]) -> [String; 3] {
             sent += 1;
         }
     }
-    // om-lint: nondeterminism-ok(wall-clock timeout around a real
-    // threaded front-end; nothing model-facing depends on it)
-    let deadline = Instant::now() + Duration::from_secs(60);
+    // A liveness timeout around the real threaded front-end; nothing
+    // model-facing depends on it.
+    let deadline_ns = om_obs::clock::now_ns() + 60_000_000_000;
     while handle.stats_snapshot().served < sent {
-        // om-lint: nondeterminism-ok(same liveness timeout as above)
-        assert!(Instant::now() < deadline, "front-end did not serve {sent} requests in time");
+        assert!(om_obs::clock::now_ns() < deadline_ns, "front-end did not serve {sent} requests in time");
         std::thread::sleep(Duration::from_millis(1));
     }
 

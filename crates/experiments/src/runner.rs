@@ -134,11 +134,12 @@ pub fn run_trials(
             // spawning thread, before the t-th trial starts.
             // om-fault: kill-point
             om_obs::fault::kill_point("trial");
-            // om-lint: allow(thread-spawn) — trials must NOT run on the
-            // tensor pool: a trial calls `parallel_for` internally, and a
-            // pool worker blocking in `latch.wait()` on a nested dispatch
-            // (no work-stealing) would deadlock the pool. Scoped OS threads
-            // keep trial- and kernel-parallelism on separate executors.
+            // Trials must NOT run on the tensor pool: a trial calls
+            // `parallel_for` internally, and a pool worker blocking in
+            // `latch.wait()` on a nested dispatch (no work-stealing) would
+            // deadlock the pool. Scoped OS threads keep trial- and
+            // kernel-parallelism on separate executors.
+            #[expect(clippy::disallowed_methods, reason = "trials nest pool dispatches, so they cannot run on the pool")]
             scope.spawn(move || {
                 for attempt in 0..TRIAL_ATTEMPTS {
                     slot.1 = attempt + 1;

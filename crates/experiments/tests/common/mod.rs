@@ -7,8 +7,7 @@
 //! scratch directories cannot collide, and what a run leaves behind can
 //! be checked.
 
-// Each test binary uses a different subset of these helpers.
-#![allow(dead_code)]
+#![allow(dead_code, reason = "each test binary uses a different subset of these helpers")]
 
 use std::path::{Path, PathBuf};
 use std::process::Command;

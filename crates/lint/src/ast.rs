@@ -4,11 +4,10 @@
 //! [`crate::lexer`] token stream and produces just enough structure for
 //! the passes in [`crate::semantic`]: the item tree (functions, modules,
 //! impl blocks), per-function attribute lists (`#[test]`, `#[cfg(test)]`),
-//! and a flat list of [`Event`]s per function body — call paths, method
-//! calls (with turbofish generics and the head of the first argument),
-//! macro invocations, index expressions and string literals, each with its
-//! source line and its index into the token stream so a pass can inspect
-//! the surrounding statement.
+//! and a flat list of [`Event`]s per function body — method calls (with
+//! turbofish generics and the head of the first argument) and string
+//! literals, each with its source line, method calls also with their index
+//! into the token stream so a pass can inspect the surrounding statement.
 //!
 //! The parser is deliberately *error-tolerant*: it never panics, and on
 //! constructs it does not model (trait bodies, `macro_rules!`, exotic
@@ -134,20 +133,6 @@ pub enum ArgHead {
 /// One occurrence of interest inside a function body.
 #[derive(Debug, Clone)]
 pub enum Event {
-    /// A (possibly multi-segment) path, `a::b::c`, with whether it is
-    /// immediately called. `Instant::now()` and a bare `Instant::now`
-    /// passed as a value both produce a `Path` — a determinism ban must
-    /// catch both.
-    Path {
-        /// Path segments in order.
-        segments: Vec<String>,
-        /// Whether the next token is `(`.
-        called: bool,
-        /// 1-based line.
-        line: usize,
-        /// Index of the first segment in `LexedFile::tokens`.
-        tok: usize,
-    },
     /// A method call `.name(...)` or `.name::<T>(...)`.
     Method {
         /// Method name.
@@ -159,22 +144,6 @@ pub enum Event {
         /// 1-based line.
         line: usize,
         /// Index of the method-name token in `LexedFile::tokens`.
-        tok: usize,
-    },
-    /// A macro invocation `name!(...)` / `name![...]` / `name!{...}`.
-    Macro {
-        /// Macro name.
-        name: String,
-        /// 1-based line.
-        line: usize,
-    },
-    /// An index expression `expr[...]` (heuristic: `[` directly after an
-    /// identifier, `)`, or `]` — so `&[T]`, `#[attr]` and `vec![...]` do
-    /// not count).
-    Index {
-        /// 1-based line.
-        line: usize,
-        /// Index of the `[` token in `LexedFile::tokens`.
         tok: usize,
     },
     /// A string literal.
@@ -190,11 +159,7 @@ impl Event {
     /// The event's source line.
     pub fn line(&self) -> usize {
         match self {
-            Event::Path { line, .. }
-            | Event::Method { line, .. }
-            | Event::Macro { line, .. }
-            | Event::Index { line, .. }
-            | Event::Str { line, .. } => *line,
+            Event::Method { line, .. } | Event::Str { line, .. } => *line,
         }
     }
 }
@@ -522,13 +487,6 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Identifiers that can directly precede `[` without the bracket being an
-/// index expression (`for x in arr`, `&mut [0; 4]`, `as [u8; 2]`, ...).
-const NON_INDEX_PRECEDERS: &[&str] = &[
-    "mut", "dyn", "in", "ref", "as", "return", "break", "else", "match", "move", "if",
-    "while", "let", "where", "box",
-];
-
 /// Extract [`Event`]s from the token range `[start, end)` of a function
 /// body.
 fn body_events(toks: &[Token], start: usize, end: usize) -> Vec<Event> {
@@ -544,74 +502,6 @@ fn body_events(toks: &[Token], start: usize, end: usize) -> Vec<Event> {
                     line: t.line,
                 });
                 j += 1;
-            }
-            TokenKind::Ident(s) => {
-                // Macro invocation: name ! ( | [ | {
-                if matches!(toks.get(j + 1).map(|t| &t.kind), Some(TokenKind::Punct('!')))
-                    && matches!(
-                        toks.get(j + 2).map(|t| &t.kind),
-                        Some(TokenKind::Punct('(' | '[' | '{'))
-                    )
-                {
-                    events.push(Event::Macro {
-                        name: s.clone(),
-                        line: t.line,
-                    });
-                    j += 2; // continue inside the macro body: args still scanned
-                    continue;
-                }
-                // Path: name (:: name)*
-                let tok = j;
-                let line = t.line;
-                let mut segments = vec![s.clone()];
-                let mut k = j + 1;
-                loop {
-                    let double_colon = matches!(
-                        toks.get(k).map(|t| &t.kind),
-                        Some(TokenKind::Punct(':'))
-                    ) && matches!(
-                        toks.get(k + 1).map(|t| &t.kind),
-                        Some(TokenKind::Punct(':'))
-                    );
-                    if !double_colon {
-                        break;
-                    }
-                    match toks.get(k + 2).map(|t| &t.kind) {
-                        Some(TokenKind::Ident(seg)) => {
-                            segments.push(seg.clone());
-                            k += 3;
-                        }
-                        // Turbofish in a path (`Vec::<u8>::new`): skip the
-                        // generic group and keep going.
-                        Some(TokenKind::Punct('<')) => {
-                            k += 2;
-                            let mut depth = 0i32;
-                            while k < end {
-                                match &toks[k].kind {
-                                    TokenKind::Punct('<') => depth += 1,
-                                    TokenKind::Punct('>') => {
-                                        depth -= 1;
-                                        if depth == 0 {
-                                            k += 1;
-                                            break;
-                                        }
-                                    }
-                                    _ => {}
-                                }
-                                k += 1;
-                            }
-                        }
-                        _ => break,
-                    }
-                }
-                let called = matches!(toks.get(k).map(|t| &t.kind), Some(TokenKind::Punct('(')));
-                events.push(Event::Path {
-                    segments,
-                    called,
-                    line,
-                    tok,
-                });
-                j = k;
             }
             TokenKind::Punct('.') => {
                 // Method call or field access: . name [::<...>] (
@@ -668,21 +558,6 @@ fn body_events(toks: &[Token], start: usize, end: usize) -> Vec<Event> {
                     j += 1;
                 }
             }
-            TokenKind::Punct('[') => {
-                let is_index = match toks.get(j.wrapping_sub(1)).map(|t| &t.kind) {
-                    Some(TokenKind::Ident(prev)) => {
-                        !NON_INDEX_PRECEDERS.contains(&prev.as_str())
-                    }
-                    Some(TokenKind::Punct(')')) | Some(TokenKind::Punct(']')) => true,
-                    _ => false,
-                } && j > start;
-                // `name![...]` macro brackets never match: the `!` between
-                // the identifier and `[` makes the preceder a Punct('!').
-                if is_index {
-                    events.push(Event::Index { line: t.line, tok: j });
-                }
-                j += 1;
-            }
             _ => {
                 j += 1;
             }
@@ -730,22 +605,16 @@ mod tests {
             pub struct S { x: [u8; 4] }
             impl S {
                 pub fn method(&self) -> f32 {
-                    let t = Instant::now();
                     self.xs.iter().sum::<f32>()
                 }
             }
             mod helpers {
-                fn helper() { panic!("no"); }
+                fn helper() { x.unwrap(); }
             }
         "#;
         let file = parse_src(src);
         let method = fn_named(&file, "method");
         assert!(method.is_pub);
-        assert!(method.events.iter().any(|e| matches!(
-            e,
-            Event::Path { segments, called: true, .. }
-                if segments == &["Instant".to_string(), "now".to_string()]
-        )));
         assert!(method.events.iter().any(|e| matches!(
             e,
             Event::Method { name, generics, .. }
@@ -755,7 +624,7 @@ mod tests {
         assert!(helper
             .events
             .iter()
-            .any(|e| matches!(e, Event::Macro { name, .. } if name == "panic")));
+            .any(|e| matches!(e, Event::Method { name, .. } if name == "unwrap")));
     }
 
     #[test]
@@ -783,44 +652,14 @@ mod tests {
     }
 
     #[test]
-    fn index_heuristic_skips_attrs_slices_and_macros() {
-        let src = r#"
-            fn f(xs: &[f32], m: &mut [u8]) -> f32 {
-                let v = vec![1, 2, 3];
-                let a: [u8; 2] = [0, 1];
-                let y = xs[0];
-                let z = (g())[1];
-                y + z
-            }
-        "#;
-        let file = parse_src(src);
-        let f = fn_named(&file, "f");
-        let index_lines: Vec<usize> = f
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                Event::Index { line, .. } => Some(*line),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(index_lines, vec![5, 6], "{:?}", f.events);
-    }
-
-    #[test]
-    fn uncalled_path_and_fold_arg_are_captured() {
+    fn fold_first_arg_is_captured() {
         let src = r#"
             fn f(xs: &[f32]) -> f32 {
-                let _clock = cell.get_or_init(Instant::now);
                 xs.iter().fold(0.0f32, |a, b| a + b)
             }
         "#;
         let file = parse_src(src);
         let f = fn_named(&file, "f");
-        assert!(f.events.iter().any(|e| matches!(
-            e,
-            Event::Path { segments, called: false, .. }
-                if segments == &["Instant".to_string(), "now".to_string()]
-        )));
         assert!(f.events.iter().any(|e| matches!(
             e,
             Event::Method { name, first_arg: Some(ArgHead::Num(n)), .. }

@@ -4,28 +4,31 @@
 //! workspace. Run it as `cargo lint` (alias for `cargo run -p om-lint`),
 //! or in CI, where it is a required job.
 //!
+//! om-lint keeps the rules rustc and clippy cannot express. Those they
+//! can — `unsafe` confinement and `// SAFETY:` arguments, no hash
+//! collections, wall clocks or OS entropy, threads only from the tensor
+//! pool, no panics in the serving hot path — are lint levels in the root
+//! `Cargo.toml`'s `[workspace.lints]` and lists in the root
+//! `clippy.toml`, with each exception an `#[expect(lint, reason = "…")]`
+//! at its site; `tests/clippy_rules.rs` seeds a hit for every one.
+//!
 //! Token-level passes over every first-party `.rs` file plus one
 //! manifest pass (see [`passes`]):
 //!
 //! | rule | guarantee |
 //! |---|---|
-//! | `unsafe-confinement` | `unsafe` only in `crates/tensor/src/runtime.rs` |
-//! | `safety-comment` | every runtime `unsafe` sits under `// SAFETY:` |
-//! | `hash-collections` | no `HashMap`/`HashSet` in model-path crates |
-//! | `thread-spawn` | threads spawned only by the runtime (or marked) |
-//! | `print` | no raw `println!`/`eprintln!` in tensor/nn/core/metrics — use om-obs |
+//! | `print` | no raw `println!`/`eprintln!` in tensor/nn/core/metrics/serve — use om-obs |
 //! | `kill-point-marker` | every `kill_point` site outside `crates/obs/` carries `// om-fault: kill-point` |
 //! | `kernel-parity` | every kernel has a `_serial` twin in the parity suite |
-//! | `workspace-lints` | all crates opt into `[workspace.lints.rust]` |
+//! | `workspace-lints` | the workspace sets the rustc/clippy rule levels, and every crate opts in |
 //! | `policy-path` | every file a policy list names ([`POLICY_PATH_LISTS`]) exists |
 //!
-//! Semantic passes over the [`ast`] item tree (see [`semantic`] and
-//! [`env_registry`] for policies and escape markers):
+//! The [`ast`]-walking and registry passes (see [`semantic`],
+//! [`env_registry`] and [`metric_registry`] for policies and escape
+//! markers):
 //!
 //! | rule | guarantee |
 //! |---|---|
-//! | `determinism` | no wall-clock time / OS randomness in model-path + serving crates |
-//! | `panic-freedom` | no `unwrap`/`expect`/panicking macros/indexing in the serving hot path |
 //! | `float-reduction` | no ad-hoc float reductions outside the kernel suite |
 //! | `simd-ulp-tolerance` | `// om-lint: simd` kernels register a ULP tolerance in parity.rs |
 //! | `env-registry` | every `OM_*` literal is declared; every declaration is used |
@@ -53,11 +56,8 @@ pub use semantic::Policy;
 
 /// The policy lists that name files by path; [`lint_repo`] reports an
 /// entry whose file is not in the tree (`policy-path`).
-pub const POLICY_PATH_LISTS: &[(&str, &[&str])] = &[
-    ("PANIC_FREE_FILES", semantic::PANIC_FREE_FILES),
-    ("UNSAFE_ALLOWED", passes::UNSAFE_ALLOWED),
-    ("REDUCTION_EXEMPT", semantic::REDUCTION_EXEMPT),
-];
+pub const POLICY_PATH_LISTS: &[(&str, &[&str])] =
+    &[("REDUCTION_EXEMPT", semantic::REDUCTION_EXEMPT)];
 
 /// Directories never descended into.
 const SKIP_DIRS: &[&str] = &["target", "vendor", ".git", ".github"];
@@ -118,14 +118,9 @@ pub fn lint_repo(root: &Path) -> LintReport {
             continue;
         };
         let lexed = lexer::lex(&src);
-        violations.extend(passes::check_unsafe(&rel, &lexed));
-        violations.extend(passes::check_hash_collections(&rel, &lexed));
-        violations.extend(passes::check_thread_spawn(&rel, &lexed));
         violations.extend(passes::check_print(&rel, &lexed));
         violations.extend(passes::check_kill_points(&rel, &lexed));
         let parsed = ast::parse(&lexed);
-        violations.extend(semantic::check_determinism(&rel, &lexed, &parsed, &policy));
-        violations.extend(semantic::check_panic_freedom(&rel, &lexed, &parsed, &policy));
         violations.extend(semantic::check_float_reduction(&rel, &lexed, &parsed, &policy));
         violations.extend(env_registry::scan_file(&rel, &lexed, &mut env_used));
         violations.extend(metric_registry::scan_file(&rel, &lexed, &mut metric_used));
@@ -155,7 +150,10 @@ pub fn lint_repo(root: &Path) -> LintReport {
 
     let root_manifest = fs::read_to_string(root.join("Cargo.toml")).unwrap_or_default();
     let mut crate_manifests = Vec::new();
-    if let Ok(entries) = fs::read_dir(root.join("crates")) {
+    for parent in ["crates", "vendor"] {
+        let Ok(entries) = fs::read_dir(root.join(parent)) else {
+            continue;
+        };
         let mut dirs: Vec<_> = entries.flatten().map(|e| e.path()).collect();
         dirs.sort();
         for dir in dirs {

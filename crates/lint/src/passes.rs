@@ -1,45 +1,22 @@
-//! The lint passes. Each pass takes a workspace-relative path (with `/`
-//! separators) plus the lexed file and returns violations; [`crate::lint_repo`]
-//! drives them over the tree.
+//! The token-level lint passes. Each pass takes a workspace-relative path
+//! (with `/` separators) plus the lexed file and returns violations;
+//! [`crate::lint_repo`] drives them over the tree.
 //!
 //! Escape hatches are explicit comment markers, so every exception is
 //! greppable and reviewed:
 //!
-//! * `// SAFETY: …` — required above (or on) every `unsafe` in an
-//!   allowlisted file (the tensor runtime, the serving mmap layer);
-//! * `// om-lint: allow(hash-collections)` — permits `HashMap`/`HashSet`
-//!   on that line in a model-path crate;
-//! * `// om-lint: allow(thread-spawn)` — permits a `spawn` call site
-//!   outside the tensor runtime (e.g. the experiment runner's scoped
-//!   trial threads, which must *not* run on the tensor pool);
+//! * `// om-lint: allow(print)` — permits a raw print on that line in a
+//!   crate of [`PRINT_BANNED_CRATES`];
 //! * `// om-lint: not-a-kernel` — exempts a `pub fn` in `kernels.rs`
 //!   from the serial-sibling requirement;
 //! * `// om-fault: kill-point` — required above every
 //!   `om_obs::fault::kill_point` call site outside `crates/obs/`, so the
 //!   full set of fault-injection sites stays greppable.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use crate::lexer::{LexedFile, TokenKind};
-
-/// The only file allowed to contain `unsafe` (and unmarked `spawn`).
-pub const RUNTIME_PATH: &str = "crates/tensor/src/runtime.rs";
-
-/// The serving mmap layer: raw `mmap(2)` syscalls and the zero-copy f32
-/// reinterpretation of mapped arena blobs, each under a `// SAFETY:`
-/// argument.
-pub const MMAP_PATH: &str = "crates/serve/src/mmap.rs";
-
-/// The AVX2 microkernel module: `std::arch` intrinsics behind the cached
-/// `is_x86_feature_detected!` dispatch, each load/store under a
-/// `// SAFETY:` argument.
-pub const SIMD_PATH: &str = "crates/tensor/src/simd.rs";
-
-/// The full `unsafe` allowlist. Everything else in the workspace is
-/// safe Rust by construction; growing this list is a design decision,
-/// not a convenience.
-pub const UNSAFE_ALLOWED: &[&str] = &[RUNTIME_PATH, MMAP_PATH, SIMD_PATH];
 
 /// Every path a policy list names must be a `.rs` file in the tree: an
 /// entry for a deleted or renamed file silently checks nothing. `lists`
@@ -61,16 +38,6 @@ pub fn check_policy_paths(lists: &[(&str, &[&str])], present: &BTreeSet<String>)
     }
     v
 }
-
-/// Crates whose numeric results feed the paper's tables: any iteration
-/// order nondeterminism here changes published numbers.
-pub const MODEL_PATH_CRATES: &[&str] = &[
-    "crates/core/",
-    "crates/nn/",
-    "crates/baselines/",
-    "crates/experiments/",
-    "crates/serve/",
-];
 
 /// Crates whose diagnostics must go through the om-obs logging facade
 /// (`om_obs::info!` et al., gated by `OM_LOG`) instead of raw prints:
@@ -112,101 +79,6 @@ pub(crate) fn idents_of(lexed: &LexedFile) -> impl Iterator<Item = (usize, &str)
         TokenKind::Ident(s) => Some((t.line, s.as_str())),
         _ => None,
     })
-}
-
-/// `unsafe` is confined to the allowlisted files ([`UNSAFE_ALLOWED`]),
-/// and every site there must sit under a `// SAFETY:` comment explaining
-/// why it is sound.
-pub fn check_unsafe(rel: &str, lexed: &LexedFile) -> Vec<Violation> {
-    let mut v = Vec::new();
-    for (line, id) in idents_of(lexed) {
-        if id != "unsafe" {
-            continue;
-        }
-        if !UNSAFE_ALLOWED.contains(&rel) {
-            v.push(Violation {
-                file: rel.to_string(),
-                line,
-                rule: "unsafe-confinement",
-                msg: format!(
-                    "`unsafe` is only permitted in the allowlist: {}",
-                    UNSAFE_ALLOWED.join(", ")
-                ),
-            });
-        } else if !lexed.comment_block_above(line).contains("SAFETY:") {
-            v.push(Violation {
-                file: rel.to_string(),
-                line,
-                rule: "safety-comment",
-                msg: "`unsafe` without a `// SAFETY:` comment directly above".to_string(),
-            });
-        }
-    }
-    v
-}
-
-/// No `HashMap`/`HashSet` in model-path crates: hash iteration order is
-/// nondeterministic across runs, the exact bug class PR 1 removed by
-/// hand. Use `BTreeMap`/`BTreeSet` or sort before iterating; line-level
-/// escape: `// om-lint: allow(hash-collections)`.
-pub fn check_hash_collections(rel: &str, lexed: &LexedFile) -> Vec<Violation> {
-    if !MODEL_PATH_CRATES.iter().any(|c| rel.starts_with(c)) {
-        return Vec::new();
-    }
-    let mut v = Vec::new();
-    for (line, id) in idents_of(lexed) {
-        if id != "HashMap" && id != "HashSet" {
-            continue;
-        }
-        if lexed
-            .comment_block_above(line)
-            .contains("om-lint: allow(hash-collections)")
-        {
-            continue;
-        }
-        v.push(Violation {
-            file: rel.to_string(),
-            line,
-            rule: "hash-collections",
-            msg: format!(
-                "`{id}` in a model-path crate: iteration order is nondeterministic; \
-                 use BTreeMap/BTreeSet or mark the line \
-                 `// om-lint: allow(hash-collections)` with a rationale"
-            ),
-        });
-    }
-    v
-}
-
-/// Threads are spawned only by the tensor runtime's pool; any other call
-/// site needs an `// om-lint: allow(thread-spawn)` marker with a
-/// rationale (nested parallelism on the pool deadlocks — see DESIGN.md).
-pub fn check_thread_spawn(rel: &str, lexed: &LexedFile) -> Vec<Violation> {
-    if rel == RUNTIME_PATH {
-        return Vec::new();
-    }
-    let mut v = Vec::new();
-    for (line, id) in idents_of(lexed) {
-        if id != "spawn" {
-            continue;
-        }
-        if lexed
-            .comment_block_above(line)
-            .contains("om-lint: allow(thread-spawn)")
-        {
-            continue;
-        }
-        v.push(Violation {
-            file: rel.to_string(),
-            line,
-            rule: "thread-spawn",
-            msg: "thread spawn outside the tensor runtime: run work through \
-                  `om_tensor::runtime`, or mark the site \
-                  `// om-lint: allow(thread-spawn)` with a rationale"
-                .to_string(),
-        });
-    }
-    v
 }
 
 /// No raw `println!`/`eprintln!` (or `print!`/`eprint!`) in the crates of
@@ -350,28 +222,64 @@ pub fn check_kernel_parity(
     v
 }
 
-/// The workspace manifest must carry the shared deny-list (at minimum
-/// `unsafe_op_in_unsafe_fn`) and every first-party crate must opt in with
-/// `[lints] workspace = true`.
+/// The lint levels the root manifest's `[workspace.lints.*]` tables must
+/// set, as `(table, lint, level)`: the repo rules rustc and clippy enforce
+/// (the clippy lists they feed are in `clippy.toml`).
+pub const REQUIRED_WORKSPACE_LINTS: &[(&str, &str, &str)] = &[
+    ("workspace.lints.rust", "unsafe_code", "\"deny\""),
+    ("workspace.lints.rust", "unsafe_op_in_unsafe_fn", "\"deny\""),
+    ("workspace.lints.clippy", "allow_attributes_without_reason", "\"deny\""),
+    ("workspace.lints.clippy", "disallowed_macros", "\"allow\""),
+    ("workspace.lints.clippy", "undocumented_unsafe_blocks", "\"deny\""),
+];
+
+/// The `key = value` entries of every `[table]` of a Cargo manifest, by
+/// table name, comments and surrounding whitespace stripped — enough TOML
+/// for the flat tables this pass reads.
+pub fn toml_tables(manifest: &str) -> BTreeMap<String, Vec<(String, String)>> {
+    let mut tables: BTreeMap<String, Vec<(String, String)>> = BTreeMap::new();
+    let mut current = String::new();
+    for line in manifest.lines() {
+        let line = line.split('#').next().unwrap_or("").trim();
+        if let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
+            current = name.trim().to_string();
+            tables.entry(current.clone()).or_default();
+        } else if let Some((key, value)) = line.split_once('=') {
+            let entry = (key.trim().to_string(), value.trim().to_string());
+            tables.entry(current.clone()).or_default().push(entry);
+        }
+    }
+    tables
+}
+
+/// The workspace manifest must set every level of
+/// [`REQUIRED_WORKSPACE_LINTS`], and every crate must opt in with
+/// `workspace = true` in its own `[lints]` table — a crate that lists its
+/// own levels there instead drops the workspace's.
 pub fn check_workspace_lints(
     root_manifest: &str,
     crate_manifests: &[(String, String)],
 ) -> Vec<Violation> {
     let mut v = Vec::new();
-    if !root_manifest.contains("[workspace.lints.rust]")
-        || !root_manifest.contains("unsafe_op_in_unsafe_fn")
-    {
-        v.push(Violation {
-            file: "Cargo.toml".to_string(),
-            line: 1,
-            rule: "workspace-lints",
-            msg: "workspace manifest must define [workspace.lints.rust] with \
-                  `unsafe_op_in_unsafe_fn = \"deny\"`"
-                .to_string(),
-        });
+    let root = toml_tables(root_manifest);
+    for &(table, lint, level) in REQUIRED_WORKSPACE_LINTS {
+        let set = root
+            .get(table)
+            .is_some_and(|entries| entries.iter().any(|(k, l)| k == lint && l == level));
+        if !set {
+            v.push(Violation {
+                file: "Cargo.toml".to_string(),
+                line: 1,
+                rule: "workspace-lints",
+                msg: format!("workspace manifest must set `{lint} = {level}` in [{table}]"),
+            });
+        }
     }
     for (rel, text) in crate_manifests {
-        if !text.contains("[lints]") || !text.contains("workspace = true") {
+        let opted_in = toml_tables(text)
+            .get("lints")
+            .is_some_and(|entries| entries.iter().any(|(k, l)| k == "workspace" && l == "true"));
+        if !opted_in {
             v.push(Violation {
                 file: rel.clone(),
                 line: 1,

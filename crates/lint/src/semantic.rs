@@ -1,33 +1,19 @@
-//! The semantic (AST-walking) lint passes and the per-crate policy that
-//! scopes them.
+//! The semantic (AST-walking) lint passes and the policy that scopes
+//! them.
 //!
 //! Where the token-level passes in [`crate::passes`] match identifiers,
-//! these walk the [`crate::ast`] item tree, so they see *call paths*
-//! (`Instant::now`, even passed as a value), method calls with turbofish
-//! generics (`.sum::<f32>()`), macro invocations and index expressions —
-//! and they know which functions are tests. Three passes:
+//! these walk the [`crate::ast`] item tree, so they see method calls with
+//! turbofish generics (`.sum::<f32>()`) and the head of their first
+//! argument — and they know which functions are tests.
 //!
-//! * **determinism** — bans wall-clock time and OS randomness in crates
-//!   whose outputs must be bit-reproducible. Unordered-collection
-//!   iteration is covered by the stricter `hash-collections` ban (the
-//!   types are removed wholesale, so there is nothing left to iterate).
-//!   Escape: `// om-lint: nondeterminism-ok(<reason>)` on the line.
-//! * **panic-freedom** — bans `unwrap`/`expect`, panicking macros and
-//!   direct index expressions in the serving hot path; errors there must
-//!   be typed (`ServeError`) so a malformed request degrades one response
-//!   instead of killing the worker and every queued request behind it.
-//!   Escapes: `// om-lint: panic-ok(<reason>)`,
-//!   `// om-lint: indexing-ok(<reason>)`.
 //! * **float-reduction** — flags ad-hoc float `sum`/`fold`/accumulator
 //!   loops outside the registered kernels. Reduction order is the one
 //!   place f32 math silently loses bitwise determinism; every reduction
 //!   must either live in `kernels.rs` (where it has a `_serial` parity
 //!   twin) or carry `// om-lint: reduction-ok(<reason>)` arguing a fixed
-//!   order (accepted on the line or on the enclosing `fn`).
-//!
-//! Tests (`#[test]` functions, `#[cfg(test)]` modules, files under
-//! `tests/` or `benches/`) are exempt from all three: a test may panic
-//! and may time itself.
+//!   order (accepted on the line or on the enclosing `fn`). Tests
+//!   (`#[test]` functions, `#[cfg(test)]` modules, files under `tests/`,
+//!   `benches/` or `examples/`) are exempt.
 //!
 //! [`check_simd_tolerance`] extends kernel-parity registration: a kernel
 //! marked `// om-lint: simd` must register a ULP tolerance via
@@ -38,57 +24,17 @@ use crate::ast::{self, ArgHead, Event, FnItem};
 use crate::lexer::{LexedFile, TokenKind};
 use crate::passes::{self, Violation};
 
-/// Per-crate scoping of the semantic passes. One instance —
+/// Per-crate scoping of the float-reduction pass. One instance —
 /// [`Policy::default_policy`] — describes the whole workspace; fixtures
 /// construct narrower ones.
 #[derive(Debug, Clone)]
 pub struct Policy {
-    /// Crate prefixes where wall-clock time and OS randomness are banned.
-    pub determinism_crates: &'static [&'static str],
-    /// Files forming the serving hot path: panic-free, index-free.
-    pub panic_free_files: &'static [&'static str],
     /// Crate prefixes where ad-hoc float reductions are flagged.
     pub reduction_crates: &'static [&'static str],
     /// Files exempt from the reduction pass (the kernel suite, which has
     /// serial-twin parity oracles instead).
     pub reduction_exempt: &'static [&'static str],
 }
-
-/// Crates whose outputs feed published tables or served responses: any
-/// wall-clock read or OS-random draw here can change numbers between
-/// runs. `crates/obs` owns the sanctioned monotonic clock
-/// (`om_obs::clock::now_ns`), `crates/bench` measures time by design, and
-/// `crates/lint` analyses rather than computes — all three are out of
-/// scope.
-pub const DETERMINISM_CRATES: &[&str] = &[
-    "crates/tensor/",
-    "crates/nn/",
-    "crates/core/",
-    "crates/metrics/",
-    "crates/data/",
-    "crates/baselines/",
-    "crates/experiments/",
-    "crates/serve/",
-];
-
-/// The serving hot path, plus the obs modules it records into: every
-/// request flows through the engine, front-end, batcher and update
-/// modules, so a panic in any of them kills the worker thread and every
-/// queued request behind it. Not listed, and allowed to assert:
-/// `loader.rs`, `blob.rs` and `mmap.rs`, which run before traffic, and
-/// `arena.rs`, which does not. Its `rows_f32`, `copy_row_into` and
-/// `id_at` run in every flush and `with_row` on every update event; the
-/// engine calls them only with rows and widths it has checked, and the
-/// asserts they keep guard program input, not request input.
-pub const PANIC_FREE_FILES: &[&str] = &[
-    "crates/serve/src/engine.rs",
-    "crates/serve/src/frontend.rs",
-    "crates/serve/src/batcher.rs",
-    "crates/serve/src/update.rs",
-    "crates/obs/src/metrics.rs",
-    "crates/obs/src/http.rs",
-    "crates/obs/src/flightrec.rs",
-];
 
 /// Crates whose float math feeds model outputs.
 pub const REDUCTION_CRATES: &[&str] = &[
@@ -107,8 +53,6 @@ impl Policy {
     /// The workspace policy.
     pub fn default_policy() -> Policy {
         Policy {
-            determinism_crates: DETERMINISM_CRATES,
-            panic_free_files: PANIC_FREE_FILES,
             reduction_crates: REDUCTION_CRATES,
             reduction_exempt: REDUCTION_EXEMPT,
         }
@@ -122,152 +66,6 @@ fn is_test_path(rel: &str) -> bool {
 
 fn marked(lexed: &LexedFile, line: usize, marker: &str) -> bool {
     lexed.comment_block_above(line).contains(marker)
-}
-
-/// Call paths whose *suffix* (last two segments) reads a wall clock or an
-/// OS random source. Matching the suffix catches `Instant::now`,
-/// `std::time::Instant::now` and `time::Instant::now` alike, called or
-/// passed as a value.
-const NONDETERMINISTIC_SUFFIXES: &[[&str; 2]] = &[
-    ["Instant", "now"],
-    ["SystemTime", "now"],
-    ["RandomState", "new"],
-    ["rand", "thread_rng"],
-    ["rand", "random"],
-];
-
-/// Single identifiers that are nondeterministic wherever they resolve
-/// from.
-const NONDETERMINISTIC_IDENTS: &[&str] = &["thread_rng"];
-
-/// The determinism pass: no wall-clock time, no OS randomness in
-/// [`Policy::determinism_crates`].
-pub fn check_determinism(
-    rel: &str,
-    lexed: &LexedFile,
-    file: &ast::File,
-    policy: &Policy,
-) -> Vec<Violation> {
-    if is_test_path(rel) || !policy.determinism_crates.iter().any(|c| rel.starts_with(c)) {
-        return Vec::new();
-    }
-    let mut v = Vec::new();
-    ast::walk_fns(file, |f, in_test| {
-        if in_test {
-            return;
-        }
-        for e in &f.events {
-            let Event::Path { segments, line, .. } = e else {
-                continue;
-            };
-            let suffix_hit = segments.len() >= 2
-                && NONDETERMINISTIC_SUFFIXES.iter().any(|[a, b]| {
-                    segments[segments.len() - 2] == *a && segments[segments.len() - 1] == *b
-                });
-            let ident_hit = segments.len() == 1
-                && NONDETERMINISTIC_IDENTS.contains(&segments[0].as_str());
-            if !(suffix_hit || ident_hit) {
-                continue;
-            }
-            if marked(lexed, *line, "om-lint: nondeterminism-ok") {
-                continue;
-            }
-            v.push(Violation {
-                file: rel.to_string(),
-                line: *line,
-                rule: "determinism",
-                msg: format!(
-                    "`{}` reads wall-clock time or OS randomness in a \
-                     determinism-policy crate: use `om_obs::clock::now_ns()` for \
-                     telemetry timing or a seeded generator, or mark the line \
-                     `// om-lint: nondeterminism-ok(<reason>)`",
-                    segments.join("::")
-                ),
-            });
-        }
-    });
-    v
-}
-
-/// Macros that abort the thread.
-const PANICKING_MACROS: &[&str] = &[
-    "panic",
-    "unreachable",
-    "todo",
-    "unimplemented",
-    "assert",
-    "assert_eq",
-    "assert_ne",
-];
-
-/// The panic-freedom pass over [`Policy::panic_free_files`].
-pub fn check_panic_freedom(
-    rel: &str,
-    lexed: &LexedFile,
-    file: &ast::File,
-    policy: &Policy,
-) -> Vec<Violation> {
-    if !policy.panic_free_files.contains(&rel) {
-        return Vec::new();
-    }
-    let mut v = Vec::new();
-    ast::walk_fns(file, |f, in_test| {
-        if in_test {
-            return;
-        }
-        for e in &f.events {
-            match e {
-                Event::Method { name, line, .. } if name == "unwrap" || name == "expect" => {
-                    if marked(lexed, *line, "om-lint: panic-ok") {
-                        continue;
-                    }
-                    v.push(Violation {
-                        file: rel.to_string(),
-                        line: *line,
-                        rule: "panic-freedom",
-                        msg: format!(
-                            "`.{name}()` in the serving hot path: a panic here kills \
-                             the worker and every queued request; return a typed \
-                             `ServeError` instead, or mark the line \
-                             `// om-lint: panic-ok(<reason>)`"
-                        ),
-                    });
-                }
-                Event::Macro { name, line } if PANICKING_MACROS.contains(&name.as_str()) => {
-                    if marked(lexed, *line, "om-lint: panic-ok") {
-                        continue;
-                    }
-                    v.push(Violation {
-                        file: rel.to_string(),
-                        line: *line,
-                        rule: "panic-freedom",
-                        msg: format!(
-                            "`{name}!` in the serving hot path: return a typed \
-                             `ServeError` instead (debug_assert! is allowed), or mark \
-                             the line `// om-lint: panic-ok(<reason>)`"
-                        ),
-                    });
-                }
-                Event::Index { line, .. } => {
-                    if marked(lexed, *line, "om-lint: indexing-ok") {
-                        continue;
-                    }
-                    v.push(Violation {
-                        file: rel.to_string(),
-                        line: *line,
-                        rule: "panic-freedom",
-                        msg: "direct index expression in the serving hot path: a bad \
-                              index panics the worker; use `.get()`, iterators or \
-                              `chunks_exact`, or mark the line \
-                              `// om-lint: indexing-ok(<reason>)`"
-                            .to_string(),
-                    });
-                }
-                _ => {}
-            }
-        }
-    });
-    v
 }
 
 /// Whether a numeric literal is a float (`0.0`, `1e-3` is not lexed as a

@@ -7,96 +7,11 @@ use om_lint::lexer::lex;
 use std::collections::BTreeSet;
 
 use om_lint::passes::{
-    check_hash_collections, check_kernel_parity, check_kill_points, check_policy_paths,
-    check_print, check_thread_spawn, check_unsafe, check_workspace_lints,
+    check_kernel_parity, check_kill_points, check_policy_paths, check_print,
+    check_workspace_lints,
 };
 
 const MODEL_FILE: &str = "crates/core/src/somewhere.rs";
-const RUNTIME: &str = "crates/tensor/src/runtime.rs";
-
-#[test]
-fn unsafe_outside_the_runtime_is_flagged() {
-    let src = "pub fn f(p: *mut f32) { unsafe { *p = 0.0; } }\n";
-    let v = check_unsafe(MODEL_FILE, &lex(src));
-    assert_eq!(v.len(), 1);
-    assert_eq!(v[0].rule, "unsafe-confinement");
-    assert_eq!(v[0].line, 1);
-    // …even with a SAFETY comment: confinement is about the file.
-    let src = "// SAFETY: trust me\npub fn f(p: *mut f32) { unsafe { *p = 0.0; } }\n";
-    assert_eq!(check_unsafe(MODEL_FILE, &lex(src)).len(), 1);
-}
-
-#[test]
-fn runtime_unsafe_requires_a_safety_comment() {
-    let bare = "pub fn f(p: *mut f32) {\n    unsafe { *p = 0.0; }\n}\n";
-    let v = check_unsafe(RUNTIME, &lex(bare));
-    assert_eq!(v.len(), 1);
-    assert_eq!(v[0].rule, "safety-comment");
-    assert_eq!(v[0].line, 2);
-
-    let commented = "pub fn f(p: *mut f32) {\n    // Long explanation first.\n    // SAFETY: p is valid and exclusively owned here.\n    unsafe { *p = 0.0; }\n}\n";
-    assert!(check_unsafe(RUNTIME, &lex(commented)).is_empty());
-}
-
-#[test]
-fn the_mmap_layer_is_allowlisted_but_still_needs_safety_comments() {
-    const MMAP: &str = "crates/serve/src/mmap.rs";
-    let bare = "pub fn f(p: *mut f32) {\n    unsafe { *p = 0.0; }\n}\n";
-    let v = check_unsafe(MMAP, &lex(bare));
-    assert_eq!(v.len(), 1);
-    assert_eq!(v[0].rule, "safety-comment");
-
-    let commented =
-        "pub fn f(p: *mut f32) {\n    // SAFETY: p is valid and exclusively owned here.\n    unsafe { *p = 0.0; }\n}\n";
-    assert!(check_unsafe(MMAP, &lex(commented)).is_empty());
-}
-
-#[test]
-fn unsafe_in_strings_and_comments_is_ignored() {
-    let src = "// this mentions unsafe\npub fn f() -> &'static str { \"unsafe\" }\n";
-    assert!(check_unsafe(MODEL_FILE, &lex(src)).is_empty());
-}
-
-#[test]
-fn hash_collections_in_model_path_crates_are_flagged() {
-    let src = "use std::collections::HashMap;\npub struct S { m: HashMap<u64, f32> }\n";
-    let v = check_hash_collections(MODEL_FILE, &lex(src));
-    assert_eq!(v.len(), 2, "both mentions flagged: {v:?}");
-    assert!(v.iter().all(|v| v.rule == "hash-collections"));
-
-    // The same file outside a model-path crate is fine…
-    assert!(check_hash_collections("crates/tensor/src/x.rs", &lex(src)).is_empty());
-    assert!(check_hash_collections("crates/text/src/x.rs", &lex(src)).is_empty());
-
-    // …and an allow marker with a rationale silences one line.
-    let marked = "// om-lint: allow(hash-collections) — build-time only, never iterated\nuse std::collections::HashMap;\n";
-    assert!(check_hash_collections(MODEL_FILE, &lex(marked)).is_empty());
-}
-
-#[test]
-fn btreemap_is_always_acceptable() {
-    let src = "use std::collections::BTreeMap;\npub struct S { m: BTreeMap<u64, f32> }\n";
-    assert!(check_hash_collections(MODEL_FILE, &lex(src)).is_empty());
-}
-
-#[test]
-fn thread_spawn_outside_the_runtime_is_flagged() {
-    let src = "pub fn go() { std::thread::spawn(|| {}); }\n";
-    let v = check_thread_spawn("crates/experiments/src/x.rs", &lex(src));
-    assert_eq!(v.len(), 1);
-    assert_eq!(v[0].rule, "thread-spawn");
-
-    // Scoped spawns are spawns too.
-    let scoped = "pub fn go() { std::thread::scope(|s| { s.spawn(|| {}); }); }\n";
-    assert_eq!(check_thread_spawn("crates/core/src/x.rs", &lex(scoped)).len(), 1);
-
-    // The runtime itself may spawn its workers.
-    assert!(check_thread_spawn(RUNTIME, &lex(src)).is_empty());
-
-    // A marked site with a rationale passes.
-    let marked = "pub fn go() {\n    // om-lint: allow(thread-spawn) — trials must not run on the pool\n    std::thread::spawn(|| {});\n}\n";
-    assert!(check_thread_spawn("crates/experiments/src/x.rs", &lex(marked)).is_empty());
-}
 
 #[test]
 fn raw_prints_in_model_path_crates_are_flagged() {
@@ -161,20 +76,47 @@ fn only_top_level_pub_fns_count_as_kernels() {
     assert!(check_kernel_parity(KERNELS_REL, &lex(kernels), &lex("")).is_empty());
 }
 
+const GOOD_ROOT: &str = "[workspace.lints.rust]\nunsafe_code = \"deny\"\nunsafe_op_in_unsafe_fn = \"deny\"\n\n[workspace.lints.clippy]\nallow_attributes_without_reason = \"deny\" # every exception argued\ndisallowed_macros = \"allow\"\nundocumented_unsafe_blocks = \"deny\"\n";
+
 #[test]
 fn workspace_lints_must_be_defined_and_opted_into() {
-    let good_root = "[workspace.lints.rust]\nunsafe_op_in_unsafe_fn = \"deny\"\n";
     let good_crate = ("crates/x/Cargo.toml".to_string(), "[lints]\nworkspace = true\n".to_string());
-    assert!(check_workspace_lints(good_root, std::slice::from_ref(&good_crate)).is_empty());
+    assert!(check_workspace_lints(GOOD_ROOT, std::slice::from_ref(&good_crate)).is_empty());
 
     let v = check_workspace_lints("[workspace]\n", std::slice::from_ref(&good_crate));
-    assert_eq!(v.len(), 1);
-    assert_eq!(v[0].rule, "workspace-lints");
+    assert_eq!(v.len(), 5, "one per required level: {v:?}");
+    assert!(v.iter().all(|v| v.rule == "workspace-lints" && v.file == "Cargo.toml"));
 
     let bad_crate = ("crates/y/Cargo.toml".to_string(), "[package]\nname = \"y\"\n".to_string());
-    let v = check_workspace_lints(good_root, &[good_crate, bad_crate]);
+    let v = check_workspace_lints(GOOD_ROOT, &[good_crate, bad_crate]);
     assert_eq!(v.len(), 1);
     assert_eq!(v[0].file, "crates/y/Cargo.toml");
+}
+
+/// `workspace = true` elsewhere in the manifest is not an opt-in: a crate
+/// whose `[lints]` table sets its own levels drops the workspace's.
+#[test]
+fn a_lints_table_without_the_workspace_key_is_flagged() {
+    let own_levels = "[package]\nversion.workspace = true\n\n[lints]\nrust.unsafe_code = \"allow\"\n";
+    let v = check_workspace_lints(GOOD_ROOT, &[("crates/z/Cargo.toml".to_string(), own_levels.to_string())]);
+    assert_eq!(v.len(), 1, "{v:?}");
+    assert_eq!(v[0].file, "crates/z/Cargo.toml");
+}
+
+/// The root must set every level the repo rules rely on, at that level:
+/// the pre-clippy root, which set `unsafe_op_in_unsafe_fn` only, and a
+/// root that allows `unsafe_code` both fall short.
+#[test]
+fn a_workspace_missing_or_weakening_a_level_is_flagged() {
+    let old_root = "[workspace.lints.rust]\nunsafe_op_in_unsafe_fn = \"deny\"\n";
+    let v = check_workspace_lints(old_root, &[]);
+    assert_eq!(v.len(), 4, "{v:?}");
+    assert!(v.iter().all(|v| !v.msg.contains("unsafe_op_in_unsafe_fn")), "{v:?}");
+
+    let weakened = GOOD_ROOT.replace("unsafe_code = \"deny\"", "unsafe_code = \"allow\"");
+    let v = check_workspace_lints(&weakened, &[]);
+    assert_eq!(v.len(), 1, "{v:?}");
+    assert!(v[0].msg.contains("unsafe_code"), "{}", v[0].msg);
 }
 
 #[test]
@@ -200,16 +142,16 @@ fn unmarked_kill_points_are_flagged() {
 #[test]
 fn policy_lists_must_name_files_in_the_tree() {
     let present: BTreeSet<String> =
-        ["crates/serve/src/engine.rs", "crates/tensor/src/kernels.rs"].map(String::from).into();
+        ["crates/tensor/src/kernels.rs", "crates/tensor/src/simd.rs"].map(String::from).into();
     let lists: &[(&str, &[&str])] = &[
-        ("PANIC_FREE_FILES", &["crates/serve/src/engine.rs", "crates/serve/src/shard.rs"]),
-        ("REDUCTION_EXEMPT", &["crates/tensor/src/kernels.rs"]),
+        ("REDUCTION_EXEMPT", &["crates/tensor/src/kernels.rs", "crates/tensor/src/shard.rs"]),
+        ("OTHER_LIST", &["crates/tensor/src/simd.rs"]),
     ];
     let v = check_policy_paths(lists, &present);
     assert_eq!(v.len(), 1, "only the missing entry is flagged: {v:?}");
     assert_eq!(v[0].rule, "policy-path");
-    assert_eq!(v[0].file, "crates/serve/src/shard.rs");
-    assert!(v[0].msg.contains("PANIC_FREE_FILES"), "names the list: {}", v[0].msg);
+    assert_eq!(v[0].file, "crates/tensor/src/shard.rs");
+    assert!(v[0].msg.contains("REDUCTION_EXEMPT"), "names the list: {}", v[0].msg);
     assert!(check_policy_paths(&lists[1..], &present).is_empty());
 }
 

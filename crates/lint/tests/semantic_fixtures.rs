@@ -1,4 +1,4 @@
-//! Fixture tests for the om-lint v2 semantic passes: each pass must
+//! Fixture tests for the om-lint semantic and registry passes: each pass must
 //! (a) flag a seeded violation and (b) accept the marked/compliant
 //! variant of the same code — mirroring `tests/fixtures.rs` for the
 //! token-level passes. Fixtures are inline source strings, so the lint
@@ -9,110 +9,14 @@ use std::collections::BTreeSet;
 use om_lint::ast;
 use om_lint::env_registry;
 use om_lint::lexer::lex;
-use om_lint::semantic::{
-    check_determinism, check_float_reduction, check_panic_freedom, check_simd_tolerance,
-};
+use om_lint::semantic::{check_float_reduction, check_simd_tolerance};
 use om_lint::Policy;
 
 const MODEL_FILE: &str = "crates/core/src/somewhere.rs";
-const HOT_FILE: &str = "crates/serve/src/engine.rs";
-
-fn determinism(rel: &str, src: &str) -> Vec<om_lint::Violation> {
-    let lexed = lex(src);
-    check_determinism(rel, &lexed, &ast::parse(&lexed), &Policy::default_policy())
-}
-
-fn panic_freedom(rel: &str, src: &str) -> Vec<om_lint::Violation> {
-    let lexed = lex(src);
-    check_panic_freedom(rel, &lexed, &ast::parse(&lexed), &Policy::default_policy())
-}
 
 fn reduction(rel: &str, src: &str) -> Vec<om_lint::Violation> {
     let lexed = lex(src);
     check_float_reduction(rel, &lexed, &ast::parse(&lexed), &Policy::default_policy())
-}
-
-// ---------------------------------------------------------------------------
-// determinism
-// ---------------------------------------------------------------------------
-
-#[test]
-fn wall_clock_reads_in_model_path_crates_are_flagged() {
-    let src = "pub fn f() -> u64 {\n    let t = std::time::Instant::now();\n    t.elapsed().as_nanos() as u64\n}\n";
-    let v = determinism(MODEL_FILE, src);
-    assert_eq!(v.len(), 1, "{v:?}");
-    assert_eq!(v[0].rule, "determinism");
-    assert_eq!(v[0].line, 2);
-
-    // The same read in the sanctioned clock's own crate is fine.
-    assert!(determinism("crates/obs/src/clock.rs", src).is_empty());
-    // So is the bench crate, which measures time by design.
-    assert!(determinism("crates/bench/src/replay.rs", src).is_empty());
-}
-
-#[test]
-fn os_randomness_is_flagged_even_in_value_position() {
-    let src = "pub fn f() -> u64 { rand::thread_rng().gen() }\n";
-    let v = determinism(MODEL_FILE, src);
-    assert_eq!(v.len(), 1, "{v:?}");
-
-    // Uncalled path (passed as a function value) is still a read site.
-    let src = "pub fn f() { init_with(SystemTime::now); }\n";
-    let v = determinism(MODEL_FILE, src);
-    assert_eq!(v.len(), 1, "{v:?}");
-    assert_eq!(v[0].rule, "determinism");
-}
-
-#[test]
-fn marked_and_test_code_nondeterminism_is_accepted() {
-    let marked = "pub fn f() -> u64 {\n    // om-lint: nondeterminism-ok(jitter only affects log timestamps)\n    let t = std::time::Instant::now();\n    t.elapsed().as_nanos() as u64\n}\n";
-    assert!(determinism(MODEL_FILE, marked).is_empty());
-
-    let test_fn = "#[test]\nfn t() { let _ = std::time::Instant::now(); }\n";
-    assert!(determinism(MODEL_FILE, test_fn).is_empty());
-
-    let cfg_test = "#[cfg(test)]\nmod tests {\n    fn helper() -> std::time::Instant { std::time::Instant::now() }\n}\n";
-    assert!(determinism(MODEL_FILE, cfg_test).is_empty());
-}
-
-// ---------------------------------------------------------------------------
-// panic-freedom
-// ---------------------------------------------------------------------------
-
-#[test]
-fn unwraps_and_panicking_macros_on_the_hot_path_are_flagged() {
-    let src = "pub fn f(v: Vec<u32>) -> u32 {\n    let x = v.first().unwrap();\n    assert!(*x > 0, \"positive\");\n    panic!(\"boom\")\n}\n";
-    let v = panic_freedom(HOT_FILE, src);
-    assert_eq!(v.len(), 3, "{v:?}");
-    assert!(v.iter().all(|v| v.rule == "panic-freedom"));
-    assert_eq!(v.iter().map(|v| v.line).collect::<Vec<_>>(), vec![2, 3, 4]);
-
-    // The same code outside the hot path is out of scope.
-    assert!(panic_freedom("crates/serve/src/blob.rs", src).is_empty());
-}
-
-#[test]
-fn direct_indexing_on_the_hot_path_is_flagged_but_not_slices_or_macros() {
-    let src = "pub fn f(v: &[f32], i: usize) -> f32 { v[i] }\n";
-    let v = panic_freedom(HOT_FILE, src);
-    assert_eq!(v.len(), 1, "{v:?}");
-
-    // Range slicing through .get(), array types, and vec![] are all fine.
-    let ok = "pub fn f(v: &[f32; 4], i: usize) -> f32 {\n    let w: Vec<f32> = vec![0.0; 4];\n    v.get(i).copied().unwrap_or(w.len() as f32)\n}\n";
-    assert!(panic_freedom(HOT_FILE, ok).is_empty());
-}
-
-#[test]
-fn marked_and_test_code_panics_are_accepted() {
-    let marked = "pub fn f(v: Vec<u32>) -> u32 {\n    // om-lint: panic-ok(arena construction runs before traffic)\n    v.first().copied().unwrap()\n}\n";
-    assert!(panic_freedom(HOT_FILE, marked).is_empty());
-
-    let test_fn = "#[test]\nfn t() { Vec::<u32>::new().first().unwrap(); }\n";
-    assert!(panic_freedom(HOT_FILE, test_fn).is_empty());
-
-    // debug_assert compiles out of release serving builds.
-    let dbg = "pub fn f(n: usize) { debug_assert_eq!(n % 2, 0); }\n";
-    assert!(panic_freedom(HOT_FILE, dbg).is_empty());
 }
 
 // ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@
 
 use std::path::{Path, PathBuf};
 
+#[expect(clippy::disallowed_types, reason = "picks the newest run directory by file mtime; never enters a result")]
 fn find_run_dir(path: &Path) -> Option<PathBuf> {
     if path.join("events.jsonl").is_file() {
         return Some(path.to_path_buf());

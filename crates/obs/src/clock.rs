@@ -6,6 +6,8 @@
 //! event stream (determinism: two runs of the same seed differ only in
 //! timing fields, never in model-visible values).
 
+#![expect(clippy::disallowed_types, reason = "the workspace's one sanctioned monotonic clock")]
+
 use std::sync::OnceLock;
 use std::time::Instant;
 

@@ -30,6 +30,12 @@
 //! [`dump`]); tests construct standalone [`FlightRecorder`]s to pin
 //! wraparound and concurrency behaviour without cross-test interference.
 
+// Serving hot path: a panic kills the worker and its queue. Tests may panic.
+#![cfg_attr(not(test), deny(
+    clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo,
+    clippy::unimplemented, clippy::indexing_slicing, clippy::string_slice, clippy::disallowed_macros,
+))]
+
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -292,10 +298,10 @@ mod tests {
     #[test]
     fn concurrent_writers_lose_nothing_but_the_oldest() {
         let r = std::sync::Arc::new(FlightRecorder::new(64));
+        #[expect(clippy::disallowed_methods, reason = "concurrent test writers, not pool work")]
         let writers: Vec<_> = (0..4)
             .map(|w| {
                 let r = r.clone();
-                // om-lint: allow(thread-spawn) — test thread, not pool work.
                 std::thread::spawn(move || {
                     for i in 0..500u64 {
                         r.push(rec(w * 1_000 + i));

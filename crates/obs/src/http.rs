@@ -23,9 +23,15 @@
 //! or a trusted network. It can read metric values and nothing else —
 //! there is no route that mutates state.
 //!
-//! This file is part of the om-lint `panic-freedom` policy: a malformed
-//! request must degrade to a `400`, never take the endpoint (let alone
-//! the process) down.
+//! This file carries the serving hot path's panic-free lint header: a
+//! malformed request must degrade to a `400`, never take the endpoint
+//! (let alone the process) down.
+
+// Serving hot path: a panic kills the worker and its queue. Tests may panic.
+#![cfg_attr(not(test), deny(
+    clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo,
+    clippy::unimplemented, clippy::indexing_slicing, clippy::string_slice, clippy::disallowed_macros,
+))]
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
@@ -92,17 +98,14 @@ impl StatsServer {
     /// Bind `addr` (e.g. `127.0.0.1:0`) and start the accept loop on a
     /// named thread. Errors are the bind/spawn errors only; everything
     /// after is handled per-connection.
-    // om-lint: allow(thread-spawn) — constructor of the endpoint's one
-    // acceptor thread (the marked Builder::spawn below).
     pub fn spawn(addr: &str) -> std::io::Result<StatsServer> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = stop.clone();
+        #[expect(clippy::disallowed_methods, reason = "the stats endpoint's long-lived acceptor must not occupy the tensor pool")]
         let thread = std::thread::Builder::new()
             .name("om-obs-http".into())
-            // om-lint: allow(thread-spawn) — the stats endpoint needs its
-            // own long-lived acceptor; it must not occupy the tensor pool.
             .spawn(move || {
                 for conn in listener.incoming() {
                     if stop_flag.load(Ordering::Relaxed) {
@@ -129,8 +132,6 @@ impl StatsServer {
     /// serving.
     pub fn spawn_from_env() -> Option<StatsServer> {
         let addr = std::env::var("OM_OBS_ADDR").ok().filter(|a| !a.trim().is_empty())?;
-        // om-lint: allow(thread-spawn) — delegates to the marked
-        // constructor above.
         match StatsServer::spawn(addr.trim()) {
             Ok(server) => Some(server),
             Err(e) => {
@@ -369,7 +370,6 @@ mod tests {
         c.add(3);
         let h = crate::metrics::histogram("test.http.lat");
         h.record(100);
-        // om-lint: allow(thread-spawn) — test exercising the endpoint.
         let server = StatsServer::spawn("127.0.0.1:0").expect("bind loopback");
         let addr = server.local_addr();
 

@@ -25,6 +25,12 @@
 //! (`leading_zeros`) and thread-count independent, and gives quantile
 //! *estimates* with a guaranteed ≤ 2× relative error.
 
+// Serving hot path: a panic kills the worker and its queue. Tests may panic.
+#![cfg_attr(not(test), deny(
+    clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo,
+    clippy::unimplemented, clippy::indexing_slicing, clippy::string_slice, clippy::disallowed_macros,
+))]
+
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -605,10 +611,10 @@ mod tests {
     fn concurrent_writers_never_tear_a_snapshot_or_a_window() {
         let h = histogram("test.hist.torn");
         let mut prev = snapshot();
+        #[expect(clippy::disallowed_methods, reason = "concurrent test writers, not pool work")]
         let writers: Vec<_> = (0..4)
             .map(|w| {
                 let h = h.clone();
-                // om-lint: allow(thread-spawn) — test thread, not pool work.
                 std::thread::spawn(move || {
                     for i in 0..2_000u64 {
                         h.record(w * 10_000 + i);
@@ -676,7 +682,7 @@ mod tests {
 
     #[test]
     fn a_poisoned_registry_lock_still_serves_lookups() {
-        // om-lint: allow(thread-spawn) — test thread that dies holding the lock.
+        #[expect(clippy::disallowed_methods, reason = "a test thread that dies holding the lock")]
         let died = std::thread::spawn(|| {
             let _held = lock_registry();
             panic!("poison the registry lock");

@@ -19,6 +19,12 @@
 //! [`Request`]s. Batching policy cannot depend on the payload, so the
 //! wrapper provably changes no flush boundary.
 
+// Serving hot path: a panic kills the worker and its queue. Tests may panic.
+#![cfg_attr(not(test), deny(
+    clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo,
+    clippy::unimplemented, clippy::indexing_slicing, clippy::string_slice, clippy::disallowed_macros,
+))]
+
 use crate::engine::Request;
 
 /// Accumulates items and decides when a batch is due.

@@ -40,6 +40,12 @@
 //! `tests/sharded_diff.rs` (NaNs and ties included), and against the
 //! reference decomposition in `tests/fused_head_diff.rs`.
 
+// Serving hot path: a panic kills the worker and its queue. Tests may panic.
+#![cfg_attr(not(test), deny(
+    clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo,
+    clippy::unimplemented, clippy::indexing_slicing, clippy::string_slice, clippy::disallowed_macros,
+))]
+
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use om_data::types::{ItemId, UserId};

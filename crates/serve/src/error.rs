@@ -1,8 +1,8 @@
 //! Typed serving errors — the panic-freedom contract of the hot path.
 //!
-//! om-lint's `panic-freedom` pass bans `unwrap`/`expect`, panicking macros
-//! and direct indexing in `engine.rs`/`frontend.rs`/`batcher.rs`/
-//! `update.rs`: a panic there kills the worker thread and with it every
+//! `engine.rs`/`frontend.rs`/`batcher.rs`/`update.rs` deny clippy's
+//! `unwrap_used`/`expect_used`/panicking-macro/`indexing_slicing` lints
+//! outside tests: a panic there kills the worker thread and with it every
 //! queued request. Every fallible step in those modules returns a
 //! [`ServeError`] instead, so one malformed request (or a scorer bug)
 //! degrades exactly one response and the worker keeps draining.

@@ -59,6 +59,12 @@
 //! responses are bitwise identical with telemetry enabled or disabled
 //! (`tests/obs_parity.rs`).
 
+// Serving hot path: a panic kills the worker and its queue. Tests may panic.
+#![cfg_attr(not(test), deny(
+    clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo,
+    clippy::unimplemented, clippy::indexing_slicing, clippy::string_slice, clippy::disallowed_macros,
+))]
+
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{RecvTimeoutError, Sender, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -500,8 +506,6 @@ impl Frontend {
     /// the scorer there (the engine is not `Send`); `responses` receives
     /// every scored [`Response`] in flush order. Errors only if the OS
     /// refuses the thread.
-    // om-lint: allow(thread-spawn) — this *is* the sanctioned spawn point:
-    // the one long-lived consumer thread of the serving front-end.
     pub fn spawn<S, F>(
         factory: F,
         opts: FrontendOptions,
@@ -518,11 +522,10 @@ impl Frontend {
         let mirror = Mirror::new();
         let worker_live = Arc::clone(&live);
         let worker_mirror = mirror.clone();
+        // Scoring inside this thread still fans out over the tensor pool.
+        #[expect(clippy::disallowed_methods, reason = "the serving front-end's one long-lived consumer thread")]
         let worker = std::thread::Builder::new()
             .name("om-serve-frontend".into())
-            // om-lint: allow(thread-spawn) — the front-end consumer is the
-            // one long-lived thread the serving shape requires; scoring
-            // inside it still fans out over the om_tensor::runtime pool.
             .spawn(move || {
                 let live = worker_live;
                 let mirror = worker_mirror;

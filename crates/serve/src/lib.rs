@@ -48,9 +48,10 @@
 //!    (`serve.graduations`).
 //!
 //! The hot path (`engine`/`frontend`/`batcher`/`update`) is panic-free by
-//! policy — om-lint's `panic-freedom` pass bans `unwrap`/`expect`/
-//! panicking macros/direct indexing there — so every fallible step
-//! surfaces as a typed [`ServeError`] instead of killing the worker.
+//! policy — each module denies clippy's `unwrap_used`/`expect_used`/
+//! panicking-macro/`indexing_slicing` lints outside tests — so every
+//! fallible step surfaces as a typed [`ServeError`] instead of killing the
+//! worker.
 //!
 //! Everything runs under [`om_nn::inference_mode`]: no autograd tape, no
 //! dropout masks, nothing drawn from any RNG — which is also why batched

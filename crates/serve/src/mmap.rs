@@ -10,9 +10,11 @@
 //! API and the same bytes, so every caller and test is portable.
 //!
 //! This file, `om_tensor::runtime` and `om_tensor::simd` are the only
-//! modules allowed to contain `unsafe` (om-lint's `unsafe-confinement`
-//! pass enforces the allowlist); every site carries a `// SAFETY:`
-//! argument.
+//! modules allowed to contain `unsafe` (the workspace denies
+//! `unsafe_code`; each of the three expects it); every site carries a
+//! `// SAFETY:` argument (`clippy::undocumented_unsafe_blocks`).
+
+#![expect(unsafe_code, reason = "raw mmap(2) syscalls and zero-copy f32 views of mapped arena blobs")]
 
 use std::fs::File;
 use std::io;

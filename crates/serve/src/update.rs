@@ -26,6 +26,12 @@
 //! `tests/online_update.rs` proves a live sequence of swaps bitwise
 //! equivalent to a cold rebuild at the same interaction state.
 
+// Serving hot path: a panic kills the worker and its queue. Tests may panic.
+#![cfg_attr(not(test), deny(
+    clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo,
+    clippy::unimplemented, clippy::indexing_slicing, clippy::string_slice, clippy::disallowed_macros,
+))]
+
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 

@@ -138,7 +138,6 @@ fn scorer_error_dumps_a_postmortem_to_disk() {
     om_obs::set_out_root(&tmp);
 
     let (resp_tx, resp_rx) = channel();
-    // om-lint: allow(thread-spawn) — spawning the front-end under test.
     let fe = Frontend::spawn(
         || FailingScorer,
         FrontendOptions { queue_cap: 16, batch: 4, wait_us: 50 },

@@ -60,8 +60,6 @@ fn gated_frontend(
     let (entered_tx, entered_rx) = channel();
     let (gate_tx, gate_rx) = channel();
     let (resp_tx, resp_rx) = channel();
-    // om-lint: allow(thread-spawn) — spawning the front-end consumer is
-    // the behaviour under test.
     let fe = Frontend::spawn(
         move || GatedScorer { entered: entered_tx, gate: Mutex::new(gate_rx) },
         opts,
@@ -263,8 +261,6 @@ proptest! {
         let (resp_tx, resp_rx) = channel();
         let scorer_generation = Arc::clone(&generation);
         let scorer_flushes = Arc::clone(&flushes);
-        // om-lint: allow(thread-spawn) — spawning the front-end consumer
-        // is the behaviour under test.
         let fe = Frontend::spawn(
             move || FlipScorer { generation: scorer_generation, flushes: scorer_flushes },
             FrontendOptions { queue_cap: 4, batch, wait_us: 0 },

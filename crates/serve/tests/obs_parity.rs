@@ -91,7 +91,6 @@ impl BatchScorer for EchoScorer {
 
 fn run_frontend_stream(n: u64) -> Vec<Response> {
     let (resp_tx, resp_rx) = channel();
-    // om-lint: allow(thread-spawn) — spawning the front-end under test.
     let fe = Frontend::spawn(
         || EchoScorer,
         FrontendOptions { queue_cap: 64, batch: 4, wait_us: 100 },

@@ -32,6 +32,8 @@
 //! count at any time with [`set_threads`]; the pool itself keeps its
 //! workers either way.
 
+#![expect(unsafe_code, reason = "the pool erases a borrowed closure's lifetime and shares disjoint row ranges by raw pointer")]
+
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
@@ -112,6 +114,7 @@ pub fn set_threads(n: usize) -> usize {
     THREAD_OVERRIDE.swap(n, Ordering::Relaxed)
 }
 
+#[expect(clippy::disallowed_methods, reason = "this is the pool: its workers are the threads every other module runs on")]
 fn pool() -> Option<&'static Pool> {
     POOL.get_or_init(|| {
         let workers = max_threads().saturating_sub(1);

@@ -40,6 +40,8 @@
 //! All kernels assume finite inputs (no NaN/±Inf), matching the
 //! documented contract of the scalar kernels they shadow.
 
+#![expect(unsafe_code, reason = "AVX2 intrinsics behind the cached CPUID check, raw loads and stores bounded by the wrappers' asserts")]
+
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Mode not decided yet.
@@ -326,10 +328,12 @@ pub fn pair_fill(users: &[f32], items: &[f32], du: usize, di: usize, n_items: us
 mod x86 {
     use std::arch::x86_64::*;
 
+    /// # Safety
+    ///
+    /// Every function in this module requires AVX2; the safe
+    /// wrappers above only call in after the cached CPUID check. Slice
+    /// bounds for the raw loads/stores are argued at each site.
     #[target_feature(enable = "avx2")]
-    // SAFETY: every function in this module requires AVX2; the safe
-    // wrappers above only call in after the cached CPUID check. Slice
-    // bounds for the raw loads/stores are argued at each site.
     unsafe fn hsum_fixed(v: __m256) -> f32 {
         let mut lanes = [0.0f32; 8];
         // SAFETY: `lanes` is exactly 8 f32s; unaligned store is allowed.
@@ -342,9 +346,11 @@ mod x86 {
         t
     }
 
+    /// # Safety
+    ///
+    /// AVX2 only (see module contract); loads stay in bounds by
+    /// the loop conditions.
     #[target_feature(enable = "avx2")]
-    // SAFETY: AVX2 only (see module contract); loads stay in bounds by
-    // the loop conditions.
     pub(super) unsafe fn sum_chunk_avx2(x: &[f32]) -> f32 {
         let n = x.len();
         let p = x.as_ptr();
@@ -383,8 +389,11 @@ mod x86 {
 
     /// `OP`: 0 = add, 1 = sub, 2 = mul (const so each instantiation
     /// compiles to a straight-line lanewise loop).
+    ///
+    /// # Safety
+    ///
+    /// AVX2 only (module contract); loads/stores bounded below.
     #[target_feature(enable = "avx2")]
-    // SAFETY: AVX2 only (module contract); loads/stores bounded below.
     pub(super) unsafe fn binop_avx2<const OP: u8>(a: &[f32], b: &[f32], out: &mut [f32]) {
         debug_assert_eq!(a.len(), out.len());
         debug_assert_eq!(b.len(), out.len());
@@ -415,9 +424,11 @@ mod x86 {
         }
     }
 
+    /// # Safety
+    ///
+    /// AVX2 only (module contract); the wrapper asserts
+    /// `x.len() == y.len()`, and every load/store below is bounded by it.
     #[target_feature(enable = "avx2")]
-    // SAFETY: AVX2 only (module contract); the wrapper asserts
-    // `x.len() == y.len()`, and every load/store below is bounded by it.
     pub(super) unsafe fn axpy_avx2(s: f32, x: &[f32], y: &mut [f32]) {
         let n = y.len();
         let (px, py) = (x.as_ptr(), y.as_mut_ptr());
@@ -436,9 +447,11 @@ mod x86 {
         }
     }
 
+    /// # Safety
+    ///
+    /// AVX2 only (module contract); the wrapper asserts all four
+    /// slices have `p.len()` elements, which bounds every load/store below.
     #[target_feature(enable = "avx2")]
-    // SAFETY: AVX2 only (module contract); the wrapper asserts all four
-    // slices have `p.len()` elements, which bounds every load/store below.
     pub(super) unsafe fn adadelta_avx2(
         p: &mut [f32],
         g: &[f32],
@@ -481,8 +494,10 @@ mod x86 {
         }
     }
 
+    /// # Safety
+    ///
+    /// AVX2 only (module contract); loads/stores bounded below.
     #[target_feature(enable = "avx2")]
-    // SAFETY: AVX2 only (module contract); loads/stores bounded below.
     pub(super) unsafe fn scale_avx2(x: &[f32], s: f32, out: &mut [f32]) {
         debug_assert_eq!(x.len(), out.len());
         let n = out.len();
@@ -502,8 +517,10 @@ mod x86 {
         }
     }
 
+    /// # Safety
+    ///
+    /// AVX2 only (module contract); loads/stores bounded below.
     #[target_feature(enable = "avx2")]
-    // SAFETY: AVX2 only (module contract); loads/stores bounded below.
     pub(super) unsafe fn dequant_row_avx2(q: &[i8], scale: f32, out: &mut [f32]) {
         debug_assert_eq!(q.len(), out.len());
         let n = out.len();
@@ -527,8 +544,10 @@ mod x86 {
         }
     }
 
+    /// # Safety
+    ///
+    /// AVX2 only (module contract); copy bounds argued below.
     #[target_feature(enable = "avx2")]
-    // SAFETY: AVX2 only (module contract); copy bounds argued below.
     unsafe fn copy_avx2(src: &[f32], dst: &mut [f32]) {
         debug_assert_eq!(src.len(), dst.len());
         let n = dst.len();
@@ -547,11 +566,13 @@ mod x86 {
         }
     }
 
+    /// # Safety
+    ///
+    /// AVX2 only (module contract). The caller (kernels::pair_rows)
+    /// guarantees `block` holds whole `du+di` rows starting at global pair
+    /// row `r0`, with `users`/`items` large enough for every `r/n`, `r%n`
+    /// in the block.
     #[target_feature(enable = "avx2")]
-    // SAFETY: AVX2 only (module contract). The caller (kernels::pair_rows)
-    // guarantees `block` holds whole `du+di` rows starting at global pair
-    // row `r0`, with `users`/`items` large enough for every `r/n`, `r%n`
-    // in the block.
     pub(super) unsafe fn pair_fill_avx2(
         users: &[f32],
         items: &[f32],
@@ -592,8 +613,11 @@ mod x86 {
     /// Lanewise `exp(x)` for finite inputs, ~2 ULP relative error:
     /// reduce `x = m·ln2 + r`, evaluate a degree-6 polynomial on `r`,
     /// rescale by `2^m` through the exponent bits.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 only (module contract); no memory access.
     #[target_feature(enable = "avx2")]
-    // SAFETY: AVX2 only (module contract); no memory access.
     unsafe fn exp256(x: __m256) -> __m256 {
         let x = _mm256_min_ps(x, _mm256_set1_ps(EXP_HI));
         let x = _mm256_max_ps(x, _mm256_set1_ps(EXP_LO));
@@ -620,8 +644,10 @@ mod x86 {
         _mm256_mul_ps(y, pow2)
     }
 
+    /// # Safety
+    ///
+    /// AVX2 only (module contract); loads/stores bounded below.
     #[target_feature(enable = "avx2")]
-    // SAFETY: AVX2 only (module contract); loads/stores bounded below.
     pub(super) unsafe fn log_softmax_row_avx2(src: &[f32], out: &mut [f32]) {
         debug_assert_eq!(src.len(), out.len());
         let n = src.len();
@@ -688,11 +714,13 @@ mod x86 {
 
     // -- TextCNN pool scan ---------------------------------------------------
 
+    /// # Safety
+    ///
+    /// AVX2 only (module contract). The wrapper asserts
+    /// `pre.len() = t·f` and `best.len() = win.len() = f = bias.len()`;
+    /// every vector load/store below covers filters `j..j+8` with
+    /// `j + 8 ≤ f` of one window row.
     #[target_feature(enable = "avx2")]
-    // SAFETY: AVX2 only (module contract). The wrapper asserts
-    // `pre.len() = t·f` and `best.len() = win.len() = f = bias.len()`;
-    // every vector load/store below covers filters `j..j+8` with
-    // `j + 8 ≤ f` of one window row.
     pub(super) unsafe fn relu_max_pool_avx2(pre: &[f32], bias: &[f32], best: &mut [f32], win: &mut [u32]) {
         let f = bias.len();
         let t = pre.len() / f;
@@ -737,8 +765,11 @@ mod x86 {
     /// Lane mask enabling the first `rem` (1..=7) of 8 lanes — the
     /// column tail of the GEMM tiles. A lane is enabled when its sign bit
     /// is set, which `cmpgt(rem, lane_index)` produces.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 only (module contract); no memory access.
     #[target_feature(enable = "avx2")]
-    // SAFETY: AVX2 only (module contract); no memory access.
     unsafe fn tail_mask(rem: usize) -> __m256i {
         _mm256_cmpgt_epi32(
             _mm256_set1_epi32(rem as i32),
@@ -751,13 +782,16 @@ mod x86 {
     /// rows and each row's broadcast over the `V` vectors. Per element
     /// the order is `p = 0..k`, multiply then add, from the incoming `c`.
     /// With `MASKED`, the last vector covers only the lanes `mask` enables.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 only (module contract). The caller guarantees: each
+    /// `a[r]` points at `k` readable floats; for every `p < k`,
+    /// `b + p·n` starts `8·V` readable floats (the last vector's disabled
+    /// lanes excepted); each `c[r]` starts `8·V` writable floats (same
+    /// exception). No other memory is touched.
     #[target_feature(enable = "avx2")]
     #[inline]
-    // SAFETY: AVX2 only (module contract). The caller guarantees: each
-    // `a[r]` points at `k` readable floats; for every `p < k`,
-    // `b + p·n` starts `8·V` readable floats (the last vector's disabled
-    // lanes excepted); each `c[r]` starts `8·V` writable floats (same
-    // exception). No other memory is touched.
     unsafe fn tile<const R: usize, const V: usize, const MASKED: bool>(
         a: [*const f32; R],
         b: *const f32,
@@ -807,12 +841,15 @@ mod x86 {
     /// All `n` columns of an `R`-row group: 24-column tiles, then one tile
     /// of 1–3 vectors over the rest, its last vector masked when `n % 8`
     /// is not 0 (the rating head's 5-wide layer 2 is one masked vector).
+    ///
+    /// # Safety
+    ///
+    /// AVX2 only (module contract). The caller guarantees each
+    /// `a[r]` points at `k` readable floats, `b` at `k·n` and each `c[r]`
+    /// at `n` writable ones; every tile below stays in columns `< n`.
+    /// With `k = 0`, `b` may point at an empty slice: its column offsets
+    /// are formed with `wrapping_add` and never dereferenced.
     #[target_feature(enable = "avx2")]
-    // SAFETY: AVX2 only (module contract). The caller guarantees each
-    // `a[r]` points at `k` readable floats, `b` at `k·n` and each `c[r]`
-    // at `n` writable ones; every tile below stays in columns `< n`.
-    // With `k = 0`, `b` may point at an empty slice: its column offsets
-    // are formed with `wrapping_add` and never dereferenced.
     unsafe fn gemm_group<const R: usize>(a: [*const f32; R], b: *const f32, c: [*mut f32; R], k: usize, n: usize) {
         let at = |j: usize| (b.wrapping_add(j), c.map(|row| row.wrapping_add(j)));
         let full = _mm256_setzero_si256();
@@ -841,11 +878,14 @@ mod x86 {
     /// `c[rows, n] += A · b`, row `i` of `A` at `a[i·lda..i·lda + k]`: four
     /// rows at a time, so each streamed `b` vector is reused fourfold, then
     /// the ragged rows one at a time.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 only (module contract). The safe wrapper asserts
+    /// `(rows − 1)·lda + k ≤ a.len()`, `b.len() ≥ k·n` and
+    /// `c.len() ≥ rows·n`, which are exactly the ranges the groups read
+    /// and write.
     #[target_feature(enable = "avx2")]
-    // SAFETY: AVX2 only (module contract). The safe wrapper asserts
-    // `(rows − 1)·lda + k ≤ a.len()`, `b.len() ≥ k·n` and
-    // `c.len() ≥ rows·n`, which are exactly the ranges the groups read
-    // and write.
     pub(super) unsafe fn gemm_rows_avx2(a: &[f32], lda: usize, b: &[f32], c: &mut [f32], rows: usize, k: usize, n: usize) {
         let (pa, pb, pc) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
         let mut i = 0usize;

@@ -1,7 +1,6 @@
 //! The core [`Tensor`] type and the reverse-mode autograd engine.
 
 use std::cell::{Ref, RefCell, RefMut};
-use std::collections::HashSet;
 use std::fmt;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -320,7 +319,8 @@ impl Tensor {
         }
         // Topological order via iterative post-order DFS.
         let mut order: Vec<Tensor> = Vec::new();
-        let mut visited: HashSet<u64> = HashSet::new();
+        #[expect(clippy::disallowed_types, reason = "membership test only, never iterated")]
+        let mut visited = std::collections::HashSet::<u64>::new();
         let mut stack: Vec<(Tensor, usize)> = vec![(self.clone(), 0)];
         visited.insert(self.0.id);
         while let Some((node, child_idx)) = stack.pop() {

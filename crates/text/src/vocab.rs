@@ -1,5 +1,7 @@
 //! Vocabulary construction and token-id encoding.
 
+#![expect(clippy::disallowed_types, reason = "token lookups; the frequency table is sorted before ids are assigned")]
+
 use std::collections::HashMap;
 
 /// Reserved id 0: padding.

@@ -14,6 +14,7 @@ fn main() {
         scenario.test_users.len(),
         scenario.target_train.len()
     );
+    #[expect(clippy::disallowed_types, reason = "prints the fit's wall time; the root package has no om-obs clock")]
     let t0 = std::time::Instant::now();
     let trained = Trainer::new(OmniMatchConfig::default()).fit(&scenario);
     println!("trained in {:.1}s", t0.elapsed().as_secs_f64());

@@ -16,7 +16,7 @@ fn ranked_lists_from_trained_model() {
     let mut lists = Vec::new();
     for &user in scenario.test_users.iter().take(5) {
         // relevant = items the user actually rated ≥ 4 in the hidden truth
-        let relevant: std::collections::HashSet<ItemId> = scenario
+        let relevant: std::collections::BTreeSet<ItemId> = scenario
             .target_full
             .user_records(user)
             .filter(|it| it.rating.stars() >= 4)
