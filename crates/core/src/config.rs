@@ -1,11 +1,12 @@
 //! OmniMatch hyper-parameters and ablation switches.
 //!
 //! Defaults follow §5.4 where the paper states a value (kernel widths
-//! (3, 4, 5), Adadelta lr 0.02 / ρ 0.95, dropout 0.4, batch 64, τ 0.07,
-//! α 0.2 / β 0.1 from the §5.8 grid search). Dimensions are scaled down
-//! from the paper's GPU configuration (300-d fastText, 200 filters) to the
-//! CPU regime of this reproduction — the substitution table in DESIGN.md
-//! explains why the result *shape* is preserved.
+//! (3, 4, 5), Adadelta ρ 0.95, dropout 0.4, batch 64, τ 0.07, α 0.2 /
+//! β 0.1 from the §5.8 grid search). The Adadelta lr is 1.0, not the
+//! paper's 0.02 (DESIGN.md, implementation decision 1). Dimensions are
+//! scaled down from the paper's GPU configuration (300-d fastText, 200
+//! filters) to the CPU regime of this reproduction — the substitution
+//! table in DESIGN.md explains why the result *shape* is preserved.
 
 use om_data::types::TextField;
 
@@ -200,17 +201,23 @@ impl OmniMatchConfig {
         self
     }
 
-    /// Validate invariants; called by the trainer before use.
+    /// Validate invariants; `Trainer::new` and `OmniMatchModel::new` call
+    /// it, so a bad configuration panics before any parameter exists.
     pub fn validate(&self) {
         assert!(self.doc_len >= *self.kernel_widths.iter().max().unwrap_or(&1),
             "doc_len must be at least the widest kernel");
         assert!(!self.kernel_widths.is_empty(), "need kernel widths");
+        assert!(self.emb_dim >= 1, "need emb_dim >= 1");
         assert!(self.batch_size >= 2, "batch must hold at least 2 samples");
         assert!(self.temperature > 0.0, "temperature must be positive");
         assert!((0.0..1.0).contains(&self.dropout), "dropout in [0,1)");
         assert!(self.epochs >= 1, "need at least one epoch");
-        if self.extractor == ExtractorKind::Transformer {
-            assert!(self.emb_dim.is_multiple_of(2), "transformer needs even emb_dim");
+        match self.extractor {
+            ExtractorKind::TextCnn => assert!(self.filters >= 1, "TextCNN needs filters >= 1"),
+            ExtractorKind::Transformer => assert!(
+                self.emb_dim.is_multiple_of(2),
+                "transformer needs even emb_dim"
+            ),
         }
     }
 }
@@ -218,6 +225,7 @@ impl OmniMatchConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trainer::Trainer;
 
     #[test]
     fn defaults_match_paper_constants() {
@@ -260,10 +268,36 @@ mod tests {
     #[test]
     #[should_panic(expected = "widest kernel")]
     fn validate_rejects_short_docs() {
-        let c = OmniMatchConfig {
+        Trainer::new(OmniMatchConfig {
             doc_len: 2,
             ..OmniMatchConfig::default()
-        };
-        c.validate();
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "transformer needs even emb_dim")]
+    fn validate_rejects_odd_transformer_width() {
+        Trainer::new(OmniMatchConfig {
+            emb_dim: 13,
+            ..OmniMatchConfig::fast().with_transformer()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "need emb_dim >= 1")]
+    fn validate_rejects_zero_emb_dim() {
+        Trainer::new(OmniMatchConfig {
+            emb_dim: 0,
+            ..OmniMatchConfig::fast()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "TextCNN needs filters >= 1")]
+    fn validate_rejects_zero_filters() {
+        Trainer::new(OmniMatchConfig {
+            filters: 0,
+            ..OmniMatchConfig::fast()
+        });
     }
 }

@@ -35,7 +35,6 @@ pub mod ckpt;
 pub mod config;
 pub mod corpus;
 pub mod model;
-pub mod shapecheck;
 pub mod trainer;
 
 pub use auxiliary::{AuxiliaryDocument, AuxiliaryReviewGenerator, AuxiliaryStep};
@@ -43,5 +42,4 @@ pub use ckpt::CkptConfig;
 pub use config::{AuxMode, ExtractorKind, OmniMatchConfig};
 pub use corpus::CorpusViews;
 pub use model::{OmniMatchModel, PairBlockScorer};
-pub use shapecheck::shape_check;
 pub use trainer::{EpochStats, TrainReport, TrainedOmniMatch, Trainer};

@@ -464,21 +464,33 @@ impl<'m> PairBlockScorer<'m> {
     }
 }
 
+impl OmniMatchModel {
+    /// Every parameter, grouped and named by the module that owns it, in
+    /// [`HasParams::params`] order (the order checkpoints store).
+    pub(crate) fn param_groups(&self) -> [(&'static str, Vec<Tensor>); 12] {
+        [
+            ("embedding", self.embedding.params()),
+            ("src_backbone", self.src_backbone.params()),
+            ("tgt_backbone", self.tgt_backbone.params()),
+            ("item_backbone", self.item_backbone.params()),
+            ("shared_invariant", self.shared_invariant.params()),
+            ("src_specific", self.src_specific.params()),
+            ("tgt_specific", self.tgt_specific.params()),
+            ("item_head", self.item_head.params()),
+            ("proj", self.proj.params()),
+            ("domain_clf_invariant", self.domain_clf_invariant.params()),
+            ("domain_clf_specific", self.domain_clf_specific.params()),
+            ("rating_clf", self.rating_clf.params()),
+        ]
+    }
+}
+
 impl HasParams for OmniMatchModel {
     fn params(&self) -> Vec<Tensor> {
-        let mut p = self.embedding.params();
-        p.extend(self.src_backbone.params());
-        p.extend(self.tgt_backbone.params());
-        p.extend(self.item_backbone.params());
-        p.extend(self.shared_invariant.params());
-        p.extend(self.src_specific.params());
-        p.extend(self.tgt_specific.params());
-        p.extend(self.item_head.params());
-        p.extend(self.proj.params());
-        p.extend(self.domain_clf_invariant.params());
-        p.extend(self.domain_clf_specific.params());
-        p.extend(self.rating_clf.params());
-        p
+        self.param_groups()
+            .into_iter()
+            .flat_map(|(_, p)| p)
+            .collect()
     }
 }
 

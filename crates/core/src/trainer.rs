@@ -12,8 +12,14 @@
 //! * `L_domain` — domain cross-entropy of the invariant features behind
 //!   the GRL plus the specific features classified normally (Eqs. 15/17).
 //!
-//! `L_total = L_rating + α·L_SCL + β·L_domain` is minimised with Adadelta
-//! (lr 0.02, ρ 0.95 — §5.4).
+//! When `align_cold_users` is on, each batch also adds the §4.1 cold-start
+//! alignment terms: a few cold users' source documents and Algorithm 1
+//! auxiliary documents join the SCL loss (each user its own class, weight
+//! α) and the domain loss (weight β). No rating label is involved.
+//!
+//! `L_total = L_rating + α·L_SCL + β·L_domain`, plus those terms, is
+//! minimised with Adadelta (ρ 0.95 — §5.4; lr 1.0 rather than the paper's
+//! 0.02, DESIGN.md implementation decision 1).
 
 use om_data::split::CrossDomainScenario;
 use om_data::types::{Interaction, ItemId, Rating, UserId};
@@ -108,36 +114,13 @@ impl Trainer {
         }
         let mut rng = seeded_rng(cfg.seed);
         let views = CorpusViews::build(scenario, cfg, &mut rng);
-
-        // Static shape/graph check *before* any parameter is allocated:
-        // rejects inconsistent configurations with the offending layer's
-        // name, and guards against miswirings that would silently starve a
-        // head of gradient (ablations legitimately orphan their own heads).
-        let shape = crate::shapecheck::shape_check(cfg, views.vocab.len())
-            .unwrap_or_else(|e| panic!("{e}"));
-        if cfg.use_scl && cfg.alpha != 0.0 && cfg.use_da && cfg.beta != 0.0 {
-            assert!(
-                shape.unreachable_params.is_empty(),
-                "miswired model: no gradient path from L_total to {:?}",
-                shape.unreachable_params
-            );
-        }
-
         let embedding_init = if cfg.pretrain_embeddings {
             Some(subword_hash_init(&views.vocab, cfg.emb_dim))
         } else {
             None
         };
         let model = OmniMatchModel::new(cfg, views.vocab.len(), embedding_init, &mut rng);
-
-        // Training samples: the target-domain interactions of the training
-        // users (target_train contains exactly those, §5.2).
-        let samples: Vec<(UserId, ItemId, usize)> = scenario
-            .target_train
-            .interactions()
-            .iter()
-            .map(|it| (it.user, it.item, it.rating.label()))
-            .collect();
+        let samples = training_samples(scenario);
         assert!(
             samples.len() >= 2,
             "scenario provides too few training interactions"
@@ -372,6 +355,18 @@ struct BatchInput<'a> {
     labels: Vec<usize>,
     /// Cold-start users joining the alignment losses (empty when disabled).
     align_users: Vec<UserId>,
+}
+
+/// Training samples `(user, item, rating label)`: the target-domain
+/// interactions of the training users (`target_train` holds exactly those,
+/// §5.2).
+fn training_samples(scenario: &CrossDomainScenario) -> Vec<(UserId, ItemId, usize)> {
+    scenario
+        .target_train
+        .interactions()
+        .iter()
+        .map(|it| (it.user, it.item, it.rating.label()))
+        .collect()
 }
 
 /// Resolve every mini-batch of one epoch into a [`BatchInput`].
@@ -710,6 +705,7 @@ mod tests {
     use super::*;
     use om_data::{SplitConfig, SynthConfig, SynthWorld};
     use om_metrics::rmse;
+    use std::collections::BTreeSet;
 
     fn quick_scenario() -> CrossDomainScenario {
         let world = SynthWorld::generate(SynthConfig::tiny(), &["Books", "Movies"]);
@@ -809,6 +805,79 @@ mod tests {
         let trained = Trainer::new(OmniMatchConfig::fast().without_da()).fit(&sc);
         for e in &trained.report().epochs {
             assert_eq!(e.domain, 0.0);
+        }
+    }
+
+    /// Names of the parameter groups that one real `train_batch` (the first
+    /// batch of `plan_epoch`) on a fresh model leaves without a gradient.
+    fn groups_without_gradient(cfg: &OmniMatchConfig) -> BTreeSet<&'static str> {
+        let sc = quick_scenario();
+        let mut rng = seeded_rng(cfg.seed);
+        let views = CorpusViews::build(&sc, cfg, &mut rng);
+        let model = OmniMatchModel::new(cfg, views.vocab.len(), None, &mut rng);
+        let samples = training_samples(&sc);
+        let inputs = plan_epoch(&views, cfg, &samples, &sc.cold_start_users(), &mut rng);
+        train_batch(&model, &views, cfg, &inputs[0], &mut rng);
+        let mut dead = BTreeSet::new();
+        for (name, params) in model.param_groups() {
+            let missing = params.iter().filter(|p| p.grad().is_none()).count();
+            assert!(
+                missing == 0 || missing == params.len(),
+                "{name}: {missing} of {} tensors got no gradient",
+                params.len()
+            );
+            if missing > 0 {
+                dead.insert(name);
+            }
+        }
+        dead
+    }
+
+    #[test]
+    fn one_training_step_reaches_exactly_the_expected_parameters() {
+        let cases: [(OmniMatchConfig, &[&str]); 8] = [
+            (OmniMatchConfig::fast(), &[]),
+            (OmniMatchConfig::default(), &[]),
+            (OmniMatchConfig::fast().with_transformer(), &[]),
+            (OmniMatchConfig::fast().without_aux_reviews(), &[]),
+            // The §4.1 alignment terms also reach `proj` and the domain
+            // classifiers; without them Eq. 21's own terms must.
+            (
+                OmniMatchConfig {
+                    align_cold_users: false,
+                    ..OmniMatchConfig::fast()
+                },
+                &[],
+            ),
+            (OmniMatchConfig::fast().without_scl(), &["proj"]),
+            (
+                OmniMatchConfig::fast().without_da(),
+                &["domain_clf_invariant", "domain_clf_specific"],
+            ),
+            // Only L_rating is left, and it never sees the source domain.
+            (
+                OmniMatchConfig::fast().without_scl().without_da(),
+                &[
+                    "src_backbone",
+                    "src_specific",
+                    "proj",
+                    "domain_clf_invariant",
+                    "domain_clf_specific",
+                ],
+            ),
+        ];
+        for (cfg, want) in cases {
+            let want: BTreeSet<&str> = want.iter().copied().collect();
+            assert_eq!(
+                groups_without_gradient(&cfg),
+                want,
+                "extractor {:?}, use_scl {}, use_da {}, aux {:?}, align {}",
+                cfg.extractor,
+                cfg.use_scl,
+                cfg.use_da,
+                cfg.aux_mode,
+                cfg.align_cold_users
+            );
         }
     }
 

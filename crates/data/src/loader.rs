@@ -157,12 +157,14 @@ pub fn load_amazon_json_lines(
 }
 
 /// Parse a TSV corpus: `user \t item \t rating \t summary [\t full_text]`.
+/// One leading byte-order mark is skipped.
 pub fn load_tsv(
     name: &str,
     content: &str,
     users: &mut IdInterner,
     items: &mut IdInterner,
 ) -> Result<Domain, LoadError> {
+    let content = content.strip_prefix('\u{FEFF}').unwrap_or(content);
     let mut interactions = Vec::new();
     for (i, line) in content.lines().enumerate() {
         let lineno = i + 1;

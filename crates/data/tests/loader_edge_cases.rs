@@ -84,3 +84,22 @@ fn cross_format_overlap_via_shared_interner() {
         .unwrap();
     assert_eq!(src.overlapping_users(&tgt), vec![UserId(0)]);
 }
+
+#[test]
+fn tsv_leading_bom_is_not_part_of_the_first_user_id() {
+    let mut users = IdInterner::new();
+    let mut items = IdInterner::new();
+    let src = load_tsv("Books", "\u{FEFF}u1\ti1\t5\tx\n", &mut users, &mut items).unwrap();
+    let tgt = load_tsv("Movies", "u1\tm1\t4\ty\n", &mut users, &mut items).unwrap();
+    assert_eq!(users.len(), 1);
+    assert_eq!(src.overlapping_users(&tgt), vec![UserId(0)]);
+}
+
+#[test]
+fn tsv_comment_after_a_bom_is_skipped() {
+    let mut u = IdInterner::new();
+    let mut i = IdInterner::new();
+    let content = "\u{FEFF}# user\titem\trating\tsummary\nu1\ti1\t3\tok\n";
+    let d = load_tsv("X", content, &mut u, &mut i).unwrap();
+    assert_eq!(d.len(), 1);
+}

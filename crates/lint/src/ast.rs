@@ -4,10 +4,10 @@
 //! [`crate::lexer`] token stream and produces just enough structure for
 //! the passes in [`crate::semantic`]: the item tree (functions, modules,
 //! impl blocks), per-function attribute lists (`#[test]`, `#[cfg(test)]`),
-//! and a flat list of [`Event`]s per function body — method calls (with
-//! turbofish generics and the head of the first argument) and string
-//! literals, each with its source line, method calls also with their index
-//! into the token stream so a pass can inspect the surrounding statement.
+//! and a flat list of [`MethodCall`]s per function body, each with its
+//! turbofish generics, the head of its first argument, its source line and
+//! its index into the token stream so a pass can inspect the surrounding
+//! statement.
 //!
 //! The parser is deliberately *error-tolerant*: it never panics, and on
 //! constructs it does not model (trait bodies, `macro_rules!`, exotic
@@ -74,8 +74,9 @@ pub struct FnItem {
     pub is_pub: bool,
     /// Attributes directly on the function.
     pub attrs: Vec<Attr>,
-    /// Body events in source order (empty for bodyless signatures).
-    pub events: Vec<Event>,
+    /// Method calls in the body, in source order (empty for bodyless
+    /// signatures).
+    pub calls: Vec<MethodCall>,
     /// Token range of the body in `LexedFile::tokens`, exclusive of the
     /// braces; `None` for bodyless signatures.
     pub body: Option<(usize, usize)>,
@@ -130,38 +131,19 @@ pub enum ArgHead {
     Other,
 }
 
-/// One occurrence of interest inside a function body.
+/// A method call `.name(...)` or `.name::<T>(...)` inside a function body.
 #[derive(Debug, Clone)]
-pub enum Event {
-    /// A method call `.name(...)` or `.name::<T>(...)`.
-    Method {
-        /// Method name.
-        name: String,
-        /// Turbofish generic identifiers, if any (`sum::<f32>()` → `["f32"]`).
-        generics: Vec<String>,
-        /// Head of the first argument (`None` for `()`).
-        first_arg: Option<ArgHead>,
-        /// 1-based line.
-        line: usize,
-        /// Index of the method-name token in `LexedFile::tokens`.
-        tok: usize,
-    },
-    /// A string literal.
-    Str {
-        /// Literal content (delimiters stripped).
-        value: String,
-        /// 1-based line.
-        line: usize,
-    },
-}
-
-impl Event {
-    /// The event's source line.
-    pub fn line(&self) -> usize {
-        match self {
-            Event::Method { line, .. } | Event::Str { line, .. } => *line,
-        }
-    }
+pub struct MethodCall {
+    /// Method name.
+    pub name: String,
+    /// Turbofish generic identifiers, if any (`sum::<f32>()` → `["f32"]`).
+    pub generics: Vec<String>,
+    /// Head of the first argument (`None` for `()`).
+    pub first_arg: Option<ArgHead>,
+    /// 1-based line.
+    pub line: usize,
+    /// Index of the method-name token in `LexedFile::tokens`.
+    pub tok: usize,
 }
 
 /// Run `f` over every function in the file, with `in_test` true when the
@@ -186,7 +168,7 @@ pub fn walk_fns(file: &File, mut f: impl FnMut(&FnItem, bool)) {
 /// bodies inside `trait` blocks are skipped (traits in this workspace
 /// declare signatures only), `macro_rules!` definitions are skipped, and
 /// expressions inside skipped items (e.g. a `const` initialiser) produce
-/// no events.
+/// no calls.
 pub fn parse(lexed: &LexedFile) -> File {
     let mut p = Parser {
         toks: &lexed.tokens,
@@ -417,7 +399,7 @@ impl<'a> Parser<'a> {
                         line,
                         is_pub,
                         attrs,
-                        events: Vec::new(),
+                        calls: Vec::new(),
                         body: None,
                     }
                 }
@@ -430,7 +412,7 @@ impl<'a> Parser<'a> {
                         line,
                         is_pub,
                         attrs,
-                        events: Vec::new(),
+                        calls: Vec::new(),
                         body: None,
                     };
                 }
@@ -439,18 +421,18 @@ impl<'a> Parser<'a> {
             }
             self.i += 1;
         }
-        // Body: find the matching `}` and extract events from the slice.
+        // Body: find the matching `}` and extract calls from the slice.
         let body_start = self.i;
         self.skip_balanced('{', '}');
         let body_end = self.i; // one past the closing '}'
         let range = (body_start + 1, body_end.saturating_sub(1));
-        let events = body_events(self.toks, range.0, range.1);
+        let calls = body_calls(self.toks, range.0, range.1);
         FnItem {
             name,
             line,
             is_pub,
             attrs,
-            events,
+            calls,
             body: Some(range),
         }
     }
@@ -487,22 +469,14 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Extract [`Event`]s from the token range `[start, end)` of a function
-/// body.
-fn body_events(toks: &[Token], start: usize, end: usize) -> Vec<Event> {
+/// Extract [`MethodCall`]s from the token range `[start, end)` of a
+/// function body.
+fn body_calls(toks: &[Token], start: usize, end: usize) -> Vec<MethodCall> {
     let end = end.min(toks.len());
-    let mut events = Vec::new();
+    let mut calls = Vec::new();
     let mut j = start;
     while j < end {
-        let t = &toks[j];
-        match &t.kind {
-            TokenKind::Str(s) => {
-                events.push(Event::Str {
-                    value: s.clone(),
-                    line: t.line,
-                });
-                j += 1;
-            }
+        match &toks[j].kind {
             TokenKind::Punct('.') => {
                 // Method call or field access: . name [::<...>] (
                 if let Some(TokenKind::Ident(name)) = toks.get(j + 1).map(|t| &t.kind) {
@@ -541,7 +515,7 @@ fn body_events(toks: &[Token], start: usize, end: usize) -> Vec<Event> {
                             Some(_) => Some(ArgHead::Other),
                             None => None,
                         };
-                        events.push(Event::Method {
+                        calls.push(MethodCall {
                             name: name.clone(),
                             generics,
                             first_arg,
@@ -563,7 +537,7 @@ fn body_events(toks: &[Token], start: usize, end: usize) -> Vec<Event> {
             }
         }
     }
-    events
+    calls
 }
 
 #[cfg(test)]
@@ -615,16 +589,12 @@ mod tests {
         let file = parse_src(src);
         let method = fn_named(&file, "method");
         assert!(method.is_pub);
-        assert!(method.events.iter().any(|e| matches!(
-            e,
-            Event::Method { name, generics, .. }
-                if name == "sum" && generics == &["f32".to_string()]
-        )));
-        let helper = fn_named(&file, "helper");
-        assert!(helper
-            .events
+        assert!(method
+            .calls
             .iter()
-            .any(|e| matches!(e, Event::Method { name, .. } if name == "unwrap")));
+            .any(|c| c.name == "sum" && c.generics == ["f32".to_string()]));
+        let helper = fn_named(&file, "helper");
+        assert!(helper.calls.iter().any(|c| c.name == "unwrap"));
     }
 
     #[test]
@@ -660,15 +630,15 @@ mod tests {
         "#;
         let file = parse_src(src);
         let f = fn_named(&file, "f");
-        assert!(f.events.iter().any(|e| matches!(
-            e,
-            Event::Method { name, first_arg: Some(ArgHead::Num(n)), .. }
-                if name == "fold" && n == "0.0f32"
-        )));
+        let zero = Some(ArgHead::Num("0.0f32".to_string()));
+        assert!(f
+            .calls
+            .iter()
+            .any(|c| c.name == "fold" && c.first_arg == zero));
     }
 
     #[test]
-    fn strings_in_bodies_become_events() {
+    fn string_arguments_do_not_hide_method_calls() {
         let src = r#"
             fn f() -> String {
                 std::env::var("OM_THREADS").unwrap_or_default()
@@ -676,13 +646,6 @@ mod tests {
         "#;
         let file = parse_src(src);
         let f = fn_named(&file, "f");
-        assert!(f
-            .events
-            .iter()
-            .any(|e| matches!(e, Event::Str { value, .. } if value == "OM_THREADS")));
-        assert!(f
-            .events
-            .iter()
-            .any(|e| matches!(e, Event::Method { name, .. } if name == "unwrap_or_default")));
+        assert!(f.calls.iter().any(|c| c.name == "unwrap_or_default"));
     }
 }

@@ -20,7 +20,7 @@
 //! `ulp_tolerance("<name>")` in `tests/parity.rs` — the contract ROADMAP
 //! item 1 requires before any vectorised kernel lands.
 
-use crate::ast::{self, ArgHead, Event, FnItem};
+use crate::ast::{self, ArgHead, FnItem, MethodCall};
 use crate::lexer::{LexedFile, TokenKind};
 use crate::passes::{self, Violation};
 
@@ -120,17 +120,14 @@ pub fn check_float_reduction(
         if in_test {
             return;
         }
-        for e in &f.events {
-            let Event::Method {
-                name,
-                generics,
-                first_arg,
-                line,
-                tok,
-            } = e
-            else {
-                continue;
-            };
+        for MethodCall {
+            name,
+            generics,
+            first_arg,
+            line,
+            tok,
+        } in &f.calls
+        {
             let flagged = match name.as_str() {
                 "sum" | "product" => {
                     if generics.iter().any(|g| g == "f32" || g == "f64") {

@@ -24,7 +24,6 @@ pub mod mlp;
 pub mod module;
 pub mod optim;
 pub mod serialize;
-pub mod shapecheck;
 pub mod textcnn;
 pub mod transformer;
 
@@ -37,6 +36,5 @@ pub use mlp::Mlp;
 pub use module::HasParams;
 pub use optim::{Adadelta, Adam, OptSlot, OptState, Optimizer, Sgd, StepStats};
 pub use serialize::{CheckpointError, CheckpointV2};
-pub use shapecheck::{Dim, NodeId, Op, Shape, ShapeError, ShapeGraph, ShapeReport};
 pub use textcnn::TextCnn;
 pub use transformer::TransformerEncoder;
